@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .bessel import bessel_lambda
 from .diffusion import make_bessel_model
@@ -38,9 +37,9 @@ from .errors import DomainError
 from .simulate import (
     MonteCarloEstimate,
     StoppingRule,
-    _U_FLOOR,
+    _first_true,
+    _lane_blocks,
     estimate_objective,
-    make_path_stream,
     simulate_rules,
 )
 
@@ -239,47 +238,22 @@ def direct_stopped_samples(
     sqdt = math.sqrt(step)
     out_z = np.empty(n_paths)
     out_trunc = np.zeros(n_paths, dtype=bool)
-    chunk = 8192
-    for p0 in range(0, n_paths, chunk):
-        p1 = min(p0 + chunk, n_paths)
-        gens = [make_path_stream(seed, p).uniform for p in range(p0, p1)]
-        m = p1 - p0
-        Z = np.full(m, float(z0))
-        S = np.full(m, float(z0))
-        orig = np.arange(p0, p1)
-        s = 0
-        B = 2048
-        while s < n_max and m > 0:
-            B_run = min(B, n_max - s)
-            U = np.empty((m, 2 * B_run))
-            for r in range(m):
-                gens[r].random(out=U[r])
-            W = ndtri(np.maximum(U[:, 0::2], _U_FLOOR))
-            done_rows = np.zeros(m, dtype=bool)
-            for k in range(B_run):
-                Zn = Z + cev.sigma * Z ** (1.0 + cev.beta) * sqdt * W[:, k]
-                Zn = np.maximum(Zn, CEV_FLOOR)
-                S = np.maximum(S, Zn)
-                Z = Zn
-                hit = (S >= kappa * Z) & ~done_rows
-                if hit.any():
-                    rows = np.nonzero(hit)[0]
-                    out_z[orig[rows]] = Z[rows]
-                    done_rows[rows] = True
-                    if done_rows.all():
-                        break
-            s += B_run
-            keep = ~done_rows
-            if not keep.all():
-                Z, S, orig = Z[keep], S[keep], orig[keep]
-                gens = [g for g, kp in zip(gens, keep) if kp]
-                m = Z.size
-            if m * 2 * B <= 20_000_000 and B < n_max - s:
-                B *= 2
-        if m > 0:
-            out_z[orig] = Z
-            out_trunc[orig] = True
-    ok = ~out_trunc
+    z0, sigma, p = float(z0), cev.sigma, 1.0 + cev.beta
+    for ln in _lane_blocks(seed, n_paths, n_max, dict(Z=z0, S=z0)):
+        Z, S = np.empty((2, ln.steps + 1, ln.index.size))
+        Z[0], S[0] = ln.state["Z"], ln.state["S"]
+        for k in range(ln.steps):
+            Zk = Z[k]
+            np.maximum(Zk + sigma * Zk ** p * sqdt * ln.z[k], CEV_FLOOR, out=Z[k + 1])
+            np.maximum(S[k], Z[k + 1], out=S[k + 1])
+        Z, S = Z[1:], S[1:]
+        cols, rows = _first_true(S >= kappa * Z)
+        out_z[ln.index[cols]] = Z[rows, cols]
+        ln.done[cols] = True
+        last = ~ln.done & (ln.offset + ln.steps == n_max)
+        out_z[ln.index[last]] = Z[-1, last]
+        out_trunc[ln.index[last]] = True
+        ln.state.update(Z=Z[-1].copy(), S=S[-1].copy())
     n_trunc = int(out_trunc.sum())
     if n_trunc > 0.01 * n_paths:
         warnings.warn(
@@ -287,7 +261,7 @@ def direct_stopped_samples(
             "the drawdown trigger",
             stacklevel=2,
         )
-    return np.sort(out_z[ok]), n_trunc
+    return np.sort(out_z[~out_trunc]), n_trunc
 
 
 def martingale_defect_table(

@@ -18,6 +18,17 @@ therefore bit-identical for any chunking of paths, any block size, any
 number of rules evaluated in the same pass, and simulate_path(seed, k)
 reproduces path k of a batch run exactly.
 
+Lanes
+-----
+The engine runs paths on ``chunk_paths`` lanes in blocks of
+``block_steps`` steps.  Inside a block a lane only advances its state; the
+first trigger of every pending rule is then found over the block's
+history at once.  At each block boundary the lanes whose rules have all
+fired, or that reached the horizon, retire and the next path indices take
+their places, each lane keeping its own step offset.  A run therefore has
+one straggler tail, and by the contract above neither knob changes any
+result.
+
 The objective accumulated along a path is int_0^tau c(I_t, X_t) dt by the
 trapezoid rule on the step grid; a rule that triggers at t = 0 reports
 objective 0.
@@ -28,6 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -245,15 +257,13 @@ class _CompiledRule:
         else:
             raise DomainError(f"not a stopping rule: {rule!r}")
 
-    def triggered(self, x, i, k_next: int):
+    def triggered(self, x, i, k_next):
         if self.kind == "ratio":
             return x >= self.lam * i
         if self.kind == "boundary":
             return x >= self.boundary(i)
         if self.kind == "fixed_time":
-            if k_next >= self.k_stop:
-                return np.ones_like(x, dtype=bool)
-            return np.zeros_like(x, dtype=bool)
+            return k_next >= self.k_stop
         return i < self.level  # dip
 
 
@@ -269,7 +279,11 @@ class _DipProbe:
 
 
 class BatchResult:
-    """Per-path outputs for each rule of one engine pass (path order)."""
+    """Per-path outputs for each rule of one engine pass (path order).
+
+    ``path_steps_stepped`` counts lane-steps advanced; the rules consumed
+    the per-path maximum of ``stop_step``, the rest is block-tail waste.
+    """
 
     def __init__(self, n_rules: int, n_paths: int):
         shape = (n_rules, n_paths)
@@ -279,12 +293,59 @@ class BatchResult:
         self.objective = np.zeros(shape)
         self.theta_step = np.zeros(shape, dtype=np.int64)
         self.truncated = np.zeros(shape, dtype=bool)
+        self.path_steps_stepped = 0
 
 
-def _guard_level(d: float, step: float) -> float:
-    # union of the drift-dominance region mu*step > 0.1 x (radius
-    # sqrt(5(d-1) step)) and the region a diffusive step could cross zero
-    return max(4.0 * math.sqrt((d - 1.0) * step), 8.5 * math.sqrt(step))
+def _lane_blocks(seed, n_paths, n_max, init, width=8192, block=256, streams=None):
+    """Admit/fill/retire iterator behind every path-advancing loop.
+
+    Up to ``width`` lanes run side by side.  A lane is one path: its index,
+    streams, step offset and state arrays (one per name in ``init``, lane
+    axis last, admitted at the ``init`` value).  Each yield is one block of
+    ``steps`` steps with its draws made: ``z`` and ``u`` are (steps, lanes)
+    arrays of each step's normal increment and floored bridge uniform, and
+    ``t`` the step index each row reaches.  The caller advances ``state``
+    and marks ``done`` the lanes it has finished; at the next boundary those
+    and the lanes that reached ``n_max`` retire and new paths take their places.
+    """
+    col = {k: np.asarray(v)[..., None] for k, v in init.items()}
+    ln = SimpleNamespace(index=np.zeros(0, dtype=np.int64), offset=np.zeros(0, dtype=np.int64),
+                         streams=[], done=np.zeros(0, dtype=bool),
+                         state={k: c[..., :0] for k, c in col.items()})
+    admitted = 0
+    while True:
+        keep = ~ln.done & (ln.offset < n_max)
+        lo, admitted = admitted, min(admitted + width - int(keep.sum()), n_paths)
+        new = np.arange(lo, admitted)
+        fresh = [make_path_stream(seed, p) for p in new] if streams is None else streams[lo:admitted]
+        ln.streams = [s for s, kp in zip(ln.streams, keep) if kp] + list(fresh)
+        ln.index = np.concatenate([ln.index[keep], new])
+        ln.offset = np.concatenate([ln.offset[keep], np.zeros(new.size, dtype=np.int64)])
+        ln.state = {k: np.concatenate([v[..., keep], np.repeat(col[k], new.size, -1)], -1)
+                    for k, v in ln.state.items()}
+        m = ln.index.size
+        if m == 0:
+            return
+        # no lane steps past n_max: the block ends where the oldest lane's run does
+        ln.steps = B = min(block, n_max - int(ln.offset.max()))
+        ln.z = ln.u = ln.t = None
+        U = np.empty((m, 2 * B))
+        for r, st in enumerate(ln.streams):
+            st.uniform.random(out=U[r])
+        ln.z = ndtri(np.maximum(U[:, 0::2].T, _U_FLOOR, out=np.empty((B, m))))
+        ln.u = np.maximum(U[:, 1::2].T, _U_FLOOR, out=np.empty((B, m)))
+        del U
+        ln.t = ln.offset + np.arange(1, B + 1)[:, None]
+        ln.done = np.zeros(m, dtype=bool)
+        yield ln
+        ln.offset += B
+
+
+def _first_true(hit):
+    """(lanes, rows) of the first True row in every column that has one."""
+    first = hit.argmax(axis=0)
+    cols = np.nonzero(hit[first, np.arange(hit.shape[1])])[0]
+    return cols, first[cols]
 
 
 def simulate_rules(
@@ -298,15 +359,15 @@ def simulate_rules(
     scheme: str = "euler",
     bridge: bool = True,
     chunk_paths: int = 8192,
-    block_steps: int = 2048,
+    block_steps: int = 256,
     _streams: Optional[Sequence[PathStream]] = None,
 ) -> BatchResult:
     """One common-random-numbers pass recording every rule's first trigger.
 
     The trajectory does not depend on the rules, so evaluating many rules
-    in one pass is exactly equivalent to separate runs with the same seed;
-    chunk_paths and block_steps are performance knobs with no effect on
-    results (see module docstring).
+    in one pass is exactly equivalent to separate runs with the same seed.
+    ``chunk_paths`` is the lane width and ``block_steps`` the block length
+    of lane refill (module docstring); neither affects results.
     """
     if not (x0 > 0.0 and math.isfinite(x0)):
         raise DomainError(f"need x0 > 0, got {x0}")
@@ -316,6 +377,8 @@ def simulate_rules(
         raise DomainError(f"need horizon > 0, got {horizon}")
     if n_paths < 1:
         raise DomainError(f"need n_paths >= 1, got {n_paths}")
+    if chunk_paths < 1 or block_steps < 1:
+        raise DomainError(f"need chunk_paths, block_steps >= 1, got {chunk_paths}, {block_steps}")
     if scheme not in ("euler", "exact"):
         raise DomainError(f"unknown scheme {scheme!r}")
     if scheme == "exact" and model.kind != "bessel":
@@ -323,174 +386,130 @@ def simulate_rules(
     if not rules:
         raise DomainError("need at least one rule")
     seed = _check_seed(seed)
+    if _streams is not None and len(_streams) != n_paths:
+        raise DomainError("need one stream per path")
 
     compiled = [_CompiledRule(r, model, step) for r in rules]
-    n_rules = len(compiled)
     n_max = int(math.ceil(horizon / step - 1e-9))
-    res = BatchResult(n_rules, n_paths)
+    res = BatchResult(len(compiled), n_paths)
+    res.rule_ids = [sp.rule_id for sp in compiled]
+    res.n_max = n_max
+
+    # rules that hold at t = 0 (fixed_time(0), a degenerate boundary) fire
+    # there on every path with objective 0
+    x0 = float(x0)
+    start = np.full(1, x0)
+    at0 = np.array([sp.triggered(start, start, np.zeros(1, np.int64))[0] for sp in compiled])
+    res.x_stop[at0] = res.i_stop[at0] = x0
+    if at0.all():
+        return res
 
     is_bessel = model.kind == "bessel"
     if is_bessel:
         d = model.dim
         nu = d - 2.0
-        drift_num = (d - 1.0) / 2.0
-        gshape = (d - 1.0) / 2.0
-        x_guard = _guard_level(d, step)
+        drift_num = gshape = (d - 1.0) / 2.0  # drift (d-1)/(2x); chi-square substep shape
+        # union of the drift-dominance region mu*step > 0.1 x (radius
+        # sqrt(5(d-1) step)) and the region a diffusive step could cross zero
+        x_guard = max(4.0 * math.sqrt((d - 1.0) * step), 8.5 * math.sqrt(step))
     sqdt = math.sqrt(step)
 
-    def c_of(i_arr, x_arr):
-        if is_bessel:
-            r = i_arr / x_arr
-            pw = r if nu == 1.0 else r**nu
-            return 1.0 - 2.0 * pw
-        return 1.0 - 2.0 * np.asarray(model.scale(x_arr)) / np.asarray(model.scale(i_arr))
+    init = dict(X=x0, I=x0, obj=0.0, cprev=-1.0, theta=0, pending=~at0)
+    for ln in _lane_blocks(seed, n_paths, n_max, init, chunk_paths, block_steps, _streams):
+        B, m, st = ln.steps, ln.index.size, ln.state
+        res.path_steps_stepped += m * B
 
-    if _streams is not None:
-        if len(_streams) != n_paths:
-            raise DomainError("need one stream per path")
-
-    for p0 in range(0, n_paths, chunk_paths):
-        p1 = min(p0 + chunk_paths, n_paths)
-        if _streams is None:
-            gens_u = [make_path_stream(seed, p) for p in range(p0, p1)]
-            gens_g = [st.gamma for st in gens_u]
-            gens_u = [st.uniform for st in gens_u]
+        # the block: state update only, one history row per step
+        X = np.empty((B + 1, m))
+        X[0] = st["X"]
+        SZ, VOL = (sqdt * ln.z, None) if is_bessel else (None, np.empty((B, m)))
+        if scheme == "exact":
+            G = np.array([ps.gamma.random(B) for ps in ln.streams])
+            SG = np.ascontiguousarray((step * (2.0 * gammaincinv(gshape, G))).T)
+            for k in range(B):
+                np.sqrt((X[k] + SZ[k]) ** 2 + SG[k], out=X[k + 1])
+        elif is_bessel:
+            for k in range(B):
+                a = X[k]
+                Xn = a + drift_num / a * step + SZ[k]
+                guarded = a < x_guard
+                if guarded.any():
+                    rows = np.nonzero(guarded)[0]
+                    gu = np.array([ln.streams[r].gamma.random() for r in rows])
+                    gdraw = 2.0 * gammaincinv(gshape, np.maximum(gu, _U_FLOOR))
+                    Xn[rows] = np.sqrt((a[rows] + SZ[k, rows]) ** 2 + step * gdraw)
+                np.maximum(Xn, EULER_FLOOR, out=X[k + 1])
         else:
-            gens_u = [st.uniform for st in _streams[p0:p1]]
-            gens_g = [st.gamma for st in _streams[p0:p1]]
-        m = p1 - p0
-        X = np.full(m, float(x0))
-        I = np.full(m, float(x0))
-        obj = np.zeros(m)
-        cprev = np.full(m, -1.0)  # c(x0, x0) = -1 exactly
-        theta = np.zeros(m, dtype=np.int64)
-        orig = np.arange(p0, p1, dtype=np.int64)
-        undone = np.ones((n_rules, m), dtype=bool)
+            for k in range(B):
+                a = X[k]
+                mu = np.asarray(model.drift(a), dtype=float)
+                VOL[k] = sg = np.asarray(model.volatility(a), dtype=float)
+                np.maximum(a + mu * step + sg * sqdt * ln.z[k], EULER_FLOOR, out=X[k + 1])
 
-        def record(j, rows, k_next, x_arr, i_arr, truncated=False):
-            ids = orig[rows]
-            res.stop_step[j, ids] = k_next
-            res.x_stop[j, ids] = x_arr[rows]
-            res.i_stop[j, ids] = i_arr[rows]
-            res.objective[j, ids] = obj[rows]
-            res.theta_step[j, ids] = theta[rows]
+        # running minimum (bridge-sharpened), its time, the objective
+        a, Xn = X[:-1], X[1:]
+        new_min = np.minimum(a, Xn)
+        if bridge:
+            sg2 = 1.0 if is_bessel else VOL**2
+            arg = (a - Xn) ** 2 - (2.0 * step) * sg2 * np.log(ln.u)
+            mb = np.maximum(0.5 * ((a + Xn) - np.sqrt(arg)), EULER_FLOOR)
+            # near the origin the interpolating bridge is not Brownian;
+            # keep endpoint monitoring there
+            new_min = np.where(new_min < x_guard, new_min, mb) if is_bessel else mb
+        # (row loops: numpy's accumulate along axis 0 is ~10x slower)
+        I = np.vstack([st["I"], new_min])
+        for k in range(B):
+            np.minimum(I[k], I[k + 1], out=I[k + 1])
+        theta = np.vstack([st["theta"], (new_min < I[:-1]) * ln.t])
+        I = I[1:]
+        if is_bessel:
+            r = I / Xn
+            c = 1.0 - 2.0 * (r if nu == 1.0 else r**nu)
+        else:
+            sx, si = (np.asarray(model.scale(v.ravel()), dtype=float) for v in (Xn, I))
+            c = (1.0 - 2.0 * sx / si).reshape(Xn.shape)
+        obj = np.vstack([st["obj"], (0.5 * step) * (np.vstack([st["cprev"], c[:-1]]) + c)])
+        for k in range(B):
+            np.add(obj[k], obj[k + 1], out=obj[k + 1])
+            np.maximum(theta[k], theta[k + 1], out=theta[k + 1])
+        obj, theta = obj[1:], theta[1:]
+
+        # each pending rule's first trigger in the block, then the horizon
+        pending = st["pending"]
+
+        def record(j, cols, rows, truncated):
+            ids = ln.index[cols]
+            res.stop_step[j, ids] = ln.t[rows, cols]
+            res.x_stop[j, ids] = Xn[rows, cols]
+            res.i_stop[j, ids] = I[rows, cols]
+            res.objective[j, ids] = obj[rows, cols]
+            res.theta_step[j, ids] = theta[rows, cols]
             res.truncated[j, ids] = truncated
-            undone[j, rows] = False
+            pending[j, cols] = False
 
-        # rules may already hold at t = 0 (fixed_time(0), degenerate boundary)
-        for j, sp in enumerate(compiled):
-            hit = sp.triggered(X, I, 0) & undone[j]
-            if hit.any():
-                record(j, np.nonzero(hit)[0], 0, X, I)
+        for j in np.nonzero(pending.any(axis=1))[0]:
+            hit = compiled[j].triggered(Xn, I, ln.t)
+            hit &= pending[j]
+            record(j, *_first_true(hit), False)
+        at_h = ln.offset + B == n_max
+        for j, row in enumerate(pending & at_h):
+            record(j, np.nonzero(row)[0], B - 1, True)
 
-        s = 0
-        B = block_steps
-        while s < n_max and undone.any():
-            keep = undone.any(axis=0)
-            if not keep.all():
-                X, I, obj, cprev, theta, orig = (
-                    X[keep], I[keep], obj[keep], cprev[keep], theta[keep], orig[keep]
-                )
-                undone = undone[:, keep]
-                gens_u = [g for g, k in zip(gens_u, keep) if k]
-                gens_g = [g for g, k in zip(gens_g, keep) if k]
-            m = X.size
-            if m == 0:
-                break
-            # grow blocks as stragglers thin out, under a flat memory budget
-            while m * (2 * B) <= 20_000_000 and B < n_max - s:
-                B *= 2
-            B_run = min(B, n_max - s)
-            U = np.empty((m, 2 * B_run))
-            for r in range(m):
-                gens_u[r].random(out=U[r])
-            Z = ndtri(np.maximum(U[:, 0::2], _U_FLOOR))
-            BU = np.maximum(U[:, 1::2], _U_FLOOR)
-            if scheme == "exact":
-                G = np.empty((m, B_run))
-                for r in range(m):
-                    gens_g[r].random(out=G[r])
-                G = 2.0 * gammaincinv(gshape, G)
+        # a failed Euler step counts only on a lane still live at that step
+        if scheme == "euler":
+            bad = (Xn <= EULER_FLOOR) & ~(a < x_guard) if is_bessel else Xn <= EULER_FLOOR
+            cols, rows = _first_true(bad)
+            t_bad, p_bad = ln.t[rows, cols], ln.index[cols]
+            last = res.stop_step[:, p_bad].max(axis=0)
+            live = np.nonzero(pending[:, cols].any(axis=0) | (t_bad <= last))[0]
+            if live.size:
+                e = live[np.lexsort((p_bad[live], t_bad[live]))[0]]
+                raise SchemeError(f"Euler step drove path {p_bad[e]} to X <= {EULER_FLOOR:g} "
+                                  f"at t={t_bad[e] * step:g}; reduce step")
 
-            for k in range(B_run):
-                z = Z[:, k]
-                a = X
-                live = undone.any(axis=0)
-                if is_bessel:
-                    if scheme == "exact":
-                        Xn = np.sqrt((a + sqdt * z) ** 2 + step * G[:, k])
-                    else:
-                        guarded = a < x_guard
-                        Xn = a + drift_num / a * step + sqdt * z
-                        if guarded.any():
-                            rows = np.nonzero(guarded)[0]
-                            gu = np.array([gens_g[r].random() for r in rows])
-                            gdraw = 2.0 * gammaincinv(gshape, np.maximum(gu, _U_FLOOR))
-                            Xn[rows] = np.sqrt((a[rows] + sqdt * z[rows]) ** 2 + step * gdraw)
-                        bad = (Xn <= EULER_FLOOR) & ~guarded & live
-                        if bad.any():
-                            r0 = np.nonzero(bad)[0][0]
-                            raise SchemeError(
-                                f"Euler step drove path {int(orig[r0])} to "
-                                f"X={float(Xn[r0]):g} <= {EULER_FLOOR:g} "
-                                f"at t={(s + k + 1) * step:g}; reduce step"
-                            )
-                        Xn = np.maximum(Xn, EULER_FLOOR)  # rows already settled
-                else:
-                    mu = np.asarray(model.drift(a), dtype=float)
-                    sg = np.asarray(model.volatility(a), dtype=float)
-                    Xn = a + mu * step + sg * sqdt * z
-                    bad = (Xn <= EULER_FLOOR) & live
-                    if bad.any():
-                        r0 = np.nonzero(bad)[0][0]
-                        raise SchemeError(
-                            f"Euler step drove path {int(orig[r0])} to "
-                            f"X={float(Xn[r0]):g} <= {EULER_FLOOR:g} "
-                            f"at t={(s + k + 1) * step:g}; reduce step"
-                        )
-                    Xn = np.maximum(Xn, EULER_FLOOR)  # rows already settled
-
-                if bridge:
-                    sg2 = 1.0 if is_bessel else sg**2
-                    span = np.minimum(a, Xn)
-                    arg = (a - Xn) ** 2 - (2.0 * step) * sg2 * np.log(BU[:, k])
-                    mb = 0.5 * ((a + Xn) - np.sqrt(arg))
-                    mb = np.maximum(mb, EULER_FLOOR)
-                    if is_bessel:
-                        # near the origin the interpolating bridge is not
-                        # Brownian; fall back to endpoint monitoring there
-                        mb = np.where(span < x_guard, span, mb)
-                    new_min = mb
-                else:
-                    new_min = np.minimum(a, Xn)
-                upd = new_min < I
-                if upd.any():
-                    theta[upd] = s + k + 1
-                    I = np.minimum(I, new_min)
-
-                X = Xn
-                c_new = c_of(I, X)
-                obj += (0.5 * step) * (cprev + c_new)
-                cprev = c_new
-
-                k_next = s + k + 1
-                for j, sp in enumerate(compiled):
-                    row_mask = sp.triggered(X, I, k_next) & undone[j]
-                    if row_mask.any():
-                        record(j, np.nonzero(row_mask)[0], k_next, X, I)
-                if not undone.any():
-                    break
-            s += B_run
-
-        # horizon reached with rules still pending
-        if undone.any():
-            for j in range(n_rules):
-                rows = np.nonzero(undone[j])[0]
-                if rows.size:
-                    record(j, rows, n_max, X, I, truncated=True)
-
-    res.rule_ids = [sp.rule_id for sp in compiled]
-    res.n_max = n_max
+        ln.done = ~pending.any(axis=0)
+        st.update(X=Xn[-1].copy(), I=I[-1].copy(), obj=obj[-1].copy(),
+                  cprev=c[-1].copy(), theta=theta[-1].copy())
     return res
 
 

@@ -6,10 +6,11 @@ obtained by integrating the reciprocal against the transition density.
 """
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, ndtri
 from scipy.stats import ks_2samp
 
 import goldenstop as g
@@ -157,6 +158,45 @@ def test_direct_sampler_deterministic_and_validated():
         g.direct_stopped_samples(cev, 1.0, 1.0, n_paths=10)
     with pytest.raises(g.DomainError):
         g.direct_stopped_samples(cev, 1.0, 2.0, n_paths=0)
+
+
+def replay_direct_path(cev, z0, kappa, seed, index, step, horizon):
+    """Re-derive one direct-Euler price path, scalar arithmetic only.
+
+    Follows the documented stream layout: Philox key [seed, 2k], two
+    uniforms per step, the first mapped to a normal, the second unused.
+    Returns (stopped price, truncated).
+    """
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 2 * index], dtype=np.uint64)))
+    n_max = int(math.ceil(horizon / step - 1e-9))
+    sqdt = math.sqrt(step)
+    z = s = float(z0)
+    for _ in range(n_max):
+        w = float(ndtri(np.maximum(np.float64(gen.random()), 2.0 ** -53)))
+        gen.random()
+        zp = float((np.array([z]) ** (1.0 + cev.beta))[0])  # the vector pow
+        z = max(z + cev.sigma * zp * sqdt * w, 1e-10)
+        s = max(s, z)
+        if s >= kappa * z:
+            return z, False
+    return z, True
+
+
+@pytest.mark.parametrize("d, horizon", [(3.0, 30.0), (3.0, 0.3), (4.0, 0.3)])
+def test_direct_sampler_replay_oracle(d, horizon):
+    """The direct route reproduces the scalar replay bit for bit, and a
+    short horizon truncates some paths."""
+    cev = g.CevModel(d=d, c_sigma=1.0)
+    kappa, n, seed, step = 2.0, 12, 21, 1e-2
+    short = horizon < 1.0
+    with pytest.warns(UserWarning, match="hit the horizon") if short else nullcontext():
+        z, n_trunc = g.direct_stopped_samples(cev, 1.0, kappa, n_paths=n, seed=seed,
+                                              step=step, horizon=horizon)
+    paths = [replay_direct_path(cev, 1.0, kappa, seed, k, step, horizon) for k in range(n)]
+    assert n_trunc == sum(t for _, t in paths)
+    assert np.array_equal(z, np.sort([v for v, t in paths if not t]))
+    if short:
+        assert 0 < n_trunc < n
 
 
 def test_two_route_agreement_reduced_scale():

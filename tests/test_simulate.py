@@ -15,7 +15,7 @@ import pytest
 from scipy.special import gammaincinv, ndtri
 
 import goldenstop as g
-from goldenstop.simulate import simulate_rules
+from goldenstop.simulate import _DipProbe, simulate_rules
 
 _U_FLOOR = 2.0 ** -53
 LAM3 = g.bessel_lambda(3.0)
@@ -179,7 +179,23 @@ def test_chunk_and_block_invariance():
     base = simulate_rules(model, 1.0, rules, 40, **kw)
     tiny = simulate_rules(model, 1.0, rules, 40, chunk_paths=7, block_steps=11, **kw)
     wide = simulate_rules(model, 1.0, rules, 40, chunk_paths=1000, block_steps=4096, **kw)
-    for other in (tiny, wide):
+    pairs = [(base, tiny), (base, wide)]
+
+    # 7 lanes for 40 paths: retired lanes are refilled at every boundary
+    pchip = g.minimal_boundary(model, 0.5, 2.0)
+    assert pchip.ratio is None
+    cases = [
+        (1.0, rules, dict(scheme="exact")),
+        (1.0, [g.StoppingRule.boundary_rule(pchip)], {}),
+        (2.0, [_DipProbe(level=1.0)], {}),
+    ]
+    for x0, case_rules, extra in cases:
+        ref = simulate_rules(model, x0, case_rules, 40, **kw, **extra)
+        for blocks in (11, 256):
+            pairs.append((ref, simulate_rules(model, x0, case_rules, 40, chunk_paths=7,
+                                              block_steps=blocks, **kw, **extra)))
+
+    for base, other in pairs:
         assert np.array_equal(base.stop_step, other.stop_step)
         assert np.array_equal(base.x_stop, other.x_stop)
         assert np.array_equal(base.i_stop, other.i_stop)
@@ -298,6 +314,29 @@ def test_scheme_error_on_crossing_zero():
     with pytest.raises(g.SchemeError, match="reduce step"):
         simulate_rules(model, 0.5, [g.StoppingRule.ratio_rule(2.0)],
                        4, seed=2, step=0.01, horizon=1.0)
+
+
+def test_scheme_error_only_on_live_lanes():
+    # every path crosses zero between t = 0.03 and t = 0.04; a rule that
+    # retired the lane at t = 0.01 never sees that step
+    model = _plunging_model()
+    kw = dict(seed=2, step=0.01, horizon=1.0)
+    res = simulate_rules(model, 2.0, [g.StoppingRule.fixed_time_rule(0.01)], 4, **kw)
+    assert np.all(res.stop_step[0] == 1)
+    with pytest.raises(g.SchemeError) as err:
+        simulate_rules(model, 2.0, [g.StoppingRule.fixed_time_rule(0.05)], 4, **kw)
+    msg = str(err.value)
+    assert "path 0" in msg and "t=0.04" in msg and "reduce step" in msg
+
+
+def test_stepped_path_steps_waste_below_one_block():
+    model = g.make_bessel_model(3.0)
+    rules = [g.StoppingRule.ratio_rule(2.1), g.StoppingRule.ratio_rule(LAM3)]
+    for n_paths, width, blocks in ((40, 7, 16), (300, 64, 256), (50, 8192, 256)):
+        res = simulate_rules(model, 1.0, rules, n_paths, seed=3, step=1e-3, horizon=10.0,
+                             chunk_paths=width, block_steps=blocks)
+        consumed = int(res.stop_step.max(axis=0).sum())
+        assert consumed <= res.path_steps_stepped < consumed + n_paths * blocks
 
 
 def test_custom_model_rejections():
