@@ -24,6 +24,99 @@ def test_lambda_csv_exact_text():
     assert res.output == "d,lambda,residual\n3,2.6180339887498949,0\n"
 
 
+def test_fib_csv_exact_text():
+    res = CliRunner().invoke(main, ["fib", "--n", "12"])
+    assert res.exit_code == 0
+    assert res.output == (
+        "name,value\n"
+        "n,12\n"
+        "shallow,0.23606557377049181\n"
+        "moderate,0.38196286472148538\n"
+        "golden,0.61802575107296143\n"
+        "shallow_limit,0.23606797749978967\n"
+        "moderate_limit,0.38196601125010515\n"
+        "golden_limit,0.61803398874989479\n"
+        "retracement,0.6180339887498949\n"
+    )
+
+
+def test_value_csv_exact_text():
+    res = CliRunner().invoke(main, ["value", "--i", "1", "--x", "2"])
+    assert res.exit_code == 0
+    assert res.output == (
+        "d,lam,i,x,value_closed,value_quadrature,abs_diff\n"
+        "3,2.6180339887498949,1,2,-0.078689325833263268,"
+        "-0.078689325833263254,1.3877787807814457e-17\n"
+    )
+
+
+def test_distribution_csv_exact_text():
+    res = CliRunner().invoke(main, ["distribution"])
+    assert res.exit_code == 0
+    assert res.output == (
+        "name,value\n"
+        "exponent,1.6180339887498947\n"
+        "mean,1.6180339887498945\n"
+        "upper_support,2.6180339887498949\n"
+        "q0.05,0.41104987719958602\n"
+        "q0.10,0.63087205696348236\n"
+        "q0.15,0.81053481701492414\n"
+        "q0.20,0.96825123746256692\n"
+        "q0.25,1.1114290464530296\n"
+        "q0.30,1.2439944532630065\n"
+        "q0.35,1.3683394098430228\n"
+        "q0.40,1.486054816503086\n"
+        "q0.45,1.5982651401557904\n"
+        "q0.50,1.7058015768834069\n"
+        "q0.55,1.809300061112769\n"
+        "q0.60,1.9092606107266488\n"
+        "q0.65,2.0060852099927389\n"
+        "q0.70,2.1001030434384829\n"
+        "q0.75,2.191587903952755\n"
+        "q0.80,2.2807705605823165\n"
+        "q0.85,2.3678477681923762\n"
+        "q0.90,2.4529889740206139\n"
+        "q0.95,2.5363414046347006\n"
+    )
+
+
+def test_boundary_ray_csv_exact_text():
+    res = CliRunner().invoke(main, ["boundary", "--ray", "--grid", "17"])
+    assert res.exit_code == 0
+    assert res.output == (
+        "i,f,h,f_over_i\n"
+        "0.5,1.3090169943749475,1,2.6180339887498949\n"
+        "0.54525386633262884,1.4274931545561143,1.0905077326652577,2.6180339887498949\n"
+        "0.59460355750136051,1.5566923233701644,1.189207115002721,2.6180339887498949\n"
+        "0.64841977732550482,1.6975850160158101,1.2968395546510096,2.6180339887498949\n"
+        "0.70710678118654757,1.8512295868219162,1.4142135623730951,2.6180339887498949\n"
+        "0.77110541270397037,2.0187801793680094,1.5422108254079407,2.6180339887498949\n"
+        "0.8408964152537145,2.2014953961521702,1.6817928305074292,2.6180339887498949\n"
+        "0.91700404320467122,2.4007477529309065,1.8340080864093424,2.6180339887498949\n"
+        "1,2.6180339887498949,2,2.6180339887498949\n"
+        "1.0905077326652577,2.8549863091122285,2.1810154653305154,2.6180339887498949\n"
+        "1.189207115002721,3.1133846467403288,2.3784142300054421,2.6180339887498949\n"
+        "1.2968395546510096,3.3951700320316203,2.5936791093020193,2.6180339887498949\n"
+        "1.4142135623730949,3.7024591736438319,2.8284271247461898,2.6180339887498949\n"
+        "1.5422108254079407,4.0375603587360187,3.0844216508158815,2.6180339887498949\n"
+        "1.681792830507429,4.4029907923043403,3.3635856610148585,2.6180339887498949\n"
+        "1.8340080864093424,4.801495505861813,3.6680161728186849,2.6180339887498949\n"
+        "2,5.2360679774997898,4,2.6180339887498949\n"
+    )
+
+
+def test_lambda_json_exact_text():
+    res = CliRunner().invoke(main, ["--format", "json", "lambda", "-d", "5"])
+    assert res.exit_code == 0
+    assert res.output == (
+        "{\n"
+        '  "d": 5.0,\n'
+        '  "lambda": 1.4444239265765004,\n'
+        '  "residual": 6.0822458181064576e-12\n'
+        "}\n"
+    )
+
+
 def test_lambda_json():
     res = CliRunner().invoke(main, ["--format", "json", "lambda", "-d", "5"])
     assert res.exit_code == 0
