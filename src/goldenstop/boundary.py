@@ -35,7 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -46,7 +46,6 @@ from .diffusion import (
     QUAD_EPSABS,
     QUAD_EPSREL,
     DiffusionModel,
-    c_value,
     h_curve,
 )
 from .errors import (
@@ -274,12 +273,7 @@ class _Shot:
         self.i_handoff = float(sol1.y_events[0][0][0])
 
         def dir_rhs(i, y):
-            f = y[0]
-            li = float(L(i))
-            lf = float(L(f))
-            c = 1.0 - 2.0 * lf / li
-            J = _inner_integral(model, i, f, li, float(Lp(i)))
-            return [-float(sig(f)) ** 2 * float(Lp(f)) / (c * (lf - li)) * J]
+            return [boundary_ode_rhs(model, i, y[0])]
 
         def ev_diverge(i, y):
             return y[0] - DIVERGENCE_FACTOR * float(h_curve(model, i))

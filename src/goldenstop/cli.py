@@ -18,14 +18,11 @@ variables with the GOLDENSTOP_ prefix (e.g. GOLDENSTOP_SIMULATE_STEP).
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
 
 import click
 
@@ -52,28 +49,10 @@ from .cev import (
 )
 from .checks import run_checks
 from .diffusion import make_bessel_model
-from .errors import CheckFailure, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .simulate import StoppingRule, compare_rules
 
-__all__ = ["RunConfig", "dispatch", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs; `extra` holds per-command fields."""
-
-    command: str
-    d: float = 3.0
-    c_sigma: float = 1.0
-    step: float = 1e-4
-    horizon: float = 50.0
-    n_paths: int = 50_000
-    seed: int = 42
-    grid: int = 129
-    fmt: str = "csv"
-    out: Optional[str] = None
-    threads: int = 1
-    extra: Mapping = field(default_factory=dict)
+__all__ = ["dispatch", "main"]
 
 
 _G = "%.17g"
@@ -96,11 +75,11 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_output(config: RunConfig, text: str) -> None:
-    if config.out is None:
+def _write_output(out, text: str) -> None:
+    if out is None:
         click.echo(text, nl=False)
         return
-    target = os.path.abspath(config.out)
+    target = os.path.abspath(out)
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(target), prefix=".goldenstop-", suffix=".tmp"
     )
@@ -116,15 +95,12 @@ def _write_output(config: RunConfig, text: str) -> None:
         raise
 
 
-def dispatch(config: RunConfig) -> int:
-    """Run one command, write its output, map exceptions to exit codes."""
+def dispatch(body, fmt="csv", out=None, **options) -> int:
+    """Run `body(fmt, **options)`, write its text to stdout or atomically to
+    `out`, and return its exit code; domain errors map to 2, numerical
+    failures to 3."""
     try:
-        builder = _COMMANDS[config.command]
-    except KeyError:
-        click.echo(f"error: unknown command {config.command!r}", err=True)
-        return 2
-    try:
-        text, code = builder(config)
+        text, code = body(fmt, **options)
     except (DomainError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
@@ -132,7 +108,7 @@ def dispatch(config: RunConfig) -> int:
         click.echo(f"numerical failure: {exc}", err=True)
         return 3
     try:
-        _write_output(config, text)
+        _write_output(out, text)
     except OSError as exc:
         click.echo(f"error: cannot write output: {exc}", err=True)
         return 2
@@ -140,38 +116,33 @@ def dispatch(config: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# command bodies (pure: config in, (text, exit_code) out)
+# command bodies (pure: format and options in, (text, exit_code) out)
 
 
-def _cmd_lambda(config: RunConfig):
-    lam = bessel_lambda(config.d)
-    resid = abs(float(bessel_characteristic(config.d, lam)))
-    if config.fmt == "json":
-        text = _json_text({"d": config.d, "lambda": lam, "residual": resid})
+def _cmd_lambda(fmt, d):
+    lam = bessel_lambda(d)
+    resid = abs(float(bessel_characteristic(d, lam)))
+    if fmt == "json":
+        text = _json_text({"d": d, "lambda": lam, "residual": resid})
     else:
         text = _csv_text(
-            ["d", "lambda", "residual"], [[_g(config.d), _g(lam), _g(resid)]]
+            ["d", "lambda", "residual"], [[_g(d), _g(lam), _g(resid)]]
         )
     return text, 0
 
 
-def _cmd_boundary(config: RunConfig):
-    model = make_bessel_model(config.d)
-    i_min = config.extra["i_min"]
-    i_max = config.extra["i_max"]
-    if config.extra["ray"]:
-        b = line_boundary(model, bessel_lambda(config.d), i_min, i_max, config.grid)
+def _cmd_boundary(fmt, d, i_min, i_max, grid, shots, ray):
+    model = make_bessel_model(d)
+    if ray:
+        b = line_boundary(model, bessel_lambda(d), i_min, i_max, grid)
     else:
-        shots = config.extra["shots"]
         starts = [i_min * 10.0**-k for k in range(1, shots + 1)]
-        b = minimal_boundary(
-            model, i_min, i_max, n_grid=config.grid, shot_starts=starts
-        )
+        b = minimal_boundary(model, i_min, i_max, n_grid=grid, shot_starts=starts)
     rows = [
         [_g(i), _g(f), _g(h), _g(f / i)]
         for i, f, h in zip(b.i_grid, b.f_grid, b.h_grid)
     ]
-    if config.fmt == "json":
+    if fmt == "json":
         text = _json_text(
             {
                 "provenance": b.provenance,
@@ -186,22 +157,20 @@ def _cmd_boundary(config: RunConfig):
     return text, 0
 
 
-def _cmd_value(config: RunConfig):
-    lam = config.extra["lam"]
+def _cmd_value(fmt, d, lam, i, x):
     if lam is None:
-        lam = bessel_lambda(config.d)
-    i, x = config.extra["i"], config.extra["x"]
-    closed = bessel_value(config.d, lam, i, x)
-    model = make_bessel_model(config.d)
+        lam = bessel_lambda(d)
+    closed = bessel_value(d, lam, i, x)
+    model = make_bessel_model(d)
     lo = min(i, x) / 4.0
     hi = max(i, x) * 4.0
     b = line_boundary(model, lam, lo, hi, 33)
     numeric = value_function_numeric(model, b, i, x)
     diff = abs(closed - numeric)
-    if config.fmt == "json":
+    if fmt == "json":
         text = _json_text(
             {
-                "d": config.d,
+                "d": d,
                 "lam": lam,
                 "i": i,
                 "x": x,
@@ -213,23 +182,21 @@ def _cmd_value(config: RunConfig):
     else:
         text = _csv_text(
             ["d", "lam", "i", "x", "value_closed", "value_quadrature", "abs_diff"],
-            [[_g(config.d), _g(lam), _g(i), _g(x), _g(closed), _g(numeric), _g(diff)]],
+            [[_g(d), _g(lam), _g(i), _g(x), _g(closed), _g(numeric), _g(diff)]],
         )
     return text, 0
 
 
-def _cmd_distribution(config: RunConfig):
-    lam = config.extra["lam"]
+def _cmd_distribution(fmt, d, lam, x0):
     if lam is None:
-        lam = bessel_lambda(config.d)
-    x0 = config.extra["x0"]
-    dist = make_stopped_distribution(config.d, lam, x0)
+        lam = bessel_lambda(d)
+    dist = make_stopped_distribution(d, lam, x0)
     qs = [k / 20.0 for k in range(1, 20)]
     quantiles = {f"{q:.2f}": stopped_quantile(dist, q) for q in qs}
-    if config.fmt == "json":
+    if fmt == "json":
         text = _json_text(
             {
-                "d": config.d,
+                "d": d,
                 "lam": lam,
                 "x0": x0,
                 "exponent": dist.p,
@@ -274,9 +241,9 @@ def _parse_rule(text: str, model) -> StoppingRule:
     )
 
 
-def _check_table(config: RunConfig, results):
+def _check_table(fmt, results):
     failed = any(not r.passed for r in results)
-    if config.fmt == "json":
+    if fmt == "json":
         text = _json_text({"checks": [r.row() for r in results], "passed": not failed})
     else:
         rows = [
@@ -287,31 +254,27 @@ def _check_table(config: RunConfig, results):
     return text, 4 if failed else 0
 
 
-def _cmd_simulate(config: RunConfig):
-    ex = config.extra
-    if ex["check"]:
+def _cmd_simulate(fmt, seed, d, x0, rules, n_paths, step, horizon, scheme, bridge,
+                  check, check_groups):
+    if check:
+        # None leaves the suite's own sample size and step in charge
         results = run_checks(
-            groups=ex["check_groups"] or None,
-            n_paths=ex["n_paths_opt"],
-            seed=config.seed,
-            step=ex["step_opt"],
+            groups=check_groups or None, n_paths=n_paths, seed=seed, step=step
         )
-        return _check_table(config, results)
-    model = make_bessel_model(config.d)
-    rule_texts = ex["rules"] or ("ratio",)
-    rules = [_parse_rule(t, model) for t in rule_texts]
+        return _check_table(fmt, results)
+    model = make_bessel_model(d)
     cmp = compare_rules(
         model,
-        ex["x0"],
-        rules,
-        n_paths=config.n_paths,
-        seed=config.seed,
-        step=config.step,
-        horizon=config.horizon,
-        scheme=ex["scheme"],
-        bridge=ex["bridge"],
+        x0,
+        [_parse_rule(t, model) for t in rules or ("ratio",)],
+        n_paths=50_000 if n_paths is None else n_paths,
+        seed=seed,
+        step=1e-4 if step is None else step,
+        horizon=horizon,
+        scheme=scheme,
+        bridge=bridge,
     )
-    if config.fmt == "json":
+    if fmt == "json":
         text = _json_text({"estimates": [e.to_dict() for e in cmp.estimates]})
     else:
         rows = [
@@ -324,30 +287,28 @@ def _cmd_simulate(config: RunConfig):
     return text, 0
 
 
-def _cmd_cev(config: RunConfig):
-    ex = config.extra
-    cev = CevModel(config.d, config.c_sigma)
-    z0 = ex["z0"]
-    kappas = list(ex["kappas"]) or [2.0, cev_rule_threshold(cev), 4.0]
-    model = make_bessel_model(config.d)
+def _cmd_cev(fmt, seed, d, c_sigma, z0, kappas, n_paths, step, horizon, scheme, bridge):
+    cev = CevModel(d, c_sigma)
+    kappas = list(kappas) or [2.0, cev_rule_threshold(cev), 4.0]
+    model = make_bessel_model(d)
     x0 = cev_inverse_transform(cev, z0)
     rules = [StoppingRule.drawdown_rule(k) for k in kappas]
     cmp = compare_rules(
         model,
         x0,
         rules,
-        n_paths=config.n_paths,
-        seed=config.seed,
-        step=config.step,
-        horizon=config.horizon,
-        scheme=ex["scheme"],
-        bridge=ex["bridge"],
+        n_paths=n_paths,
+        seed=seed,
+        step=step,
+        horizon=horizon,
+        scheme=scheme,
+        bridge=bridge,
     )
-    if config.fmt == "json":
+    if fmt == "json":
         text = _json_text(
             {
-                "d": config.d,
-                "c_sigma": config.c_sigma,
+                "d": d,
+                "c_sigma": c_sigma,
                 "z0": z0,
                 "x0": x0,
                 "threshold": cev_rule_threshold(cev),
@@ -367,11 +328,10 @@ def _cmd_cev(config: RunConfig):
     return text, 0
 
 
-def _cmd_fib(config: RunConfig):
-    n = config.extra["n"]
+def _cmd_fib(fmt, n):
     levels = fibonacci_levels(n)
     phi = (1.0 + math.sqrt(5.0)) / 2.0
-    if config.fmt == "json":
+    if fmt == "json":
         text = _json_text(
             {
                 "n": n,
@@ -401,17 +361,6 @@ def _cmd_fib(config: RunConfig):
     return text, 0
 
 
-_COMMANDS = {
-    "lambda": _cmd_lambda,
-    "boundary": _cmd_boundary,
-    "value": _cmd_value,
-    "distribution": _cmd_distribution,
-    "simulate": _cmd_simulate,
-    "cev": _cmd_cev,
-    "fib": _cmd_fib,
-}
-
-
 # ---------------------------------------------------------------------------
 # click wiring
 
@@ -424,33 +373,19 @@ _COMMANDS = {
 )
 @click.option("--seed", type=int, default=42, show_default=True,
               help="Base RNG seed (dimensionless integer).")
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Accepted for interface stability; runs are single-process "
-                   "and deterministic regardless of this value.")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Write output atomically to this file instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True, help="Output format.")
 @click.pass_context
-def main(ctx, seed, threads, out, fmt):
+def main(ctx, seed, out, fmt):
     """Golden-ratio stopping toolkit: roots, boundaries, values, simulation."""
-    ctx.obj = {"seed": seed, "threads": threads, "out": out, "fmt": fmt}
+    ctx.obj = {"seed": seed, "out": out, "fmt": fmt}
 
 
-def _config(ctx, command: str, **kwargs) -> RunConfig:
-    base = ctx.obj
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    main_kwargs = {k: v for k, v in kwargs.items() if k in fields}
-    extra = {k: v for k, v in kwargs.items() if k not in fields}
-    return RunConfig(
-        command=command,
-        seed=base["seed"],
-        threads=base["threads"],
-        out=base["out"],
-        fmt=base["fmt"],
-        extra=extra,
-        **main_kwargs,
-    )
+def _run(ctx, body, **options):
+    """Dispatch `body` with the group's --format and --out; exit with its code."""
+    ctx.exit(dispatch(body, ctx.obj["fmt"], ctx.obj["out"], **options))
 
 
 _dim_option = click.option(
@@ -464,7 +399,7 @@ _dim_option = click.option(
 @click.pass_context
 def lambda_cmd(ctx, dim):
     """Optimal stop-ratio threshold and its characteristic residual."""
-    ctx.exit(dispatch(_config(ctx, "lambda", d=dim)))
+    _run(ctx, _cmd_lambda, d=dim)
 
 
 @main.command("boundary")
@@ -481,12 +416,9 @@ def lambda_cmd(ctx, dim):
 @click.option("--ray", is_flag=True, default=False,
               help="Use the closed-form straight-ray boundary instead of shooting.")
 @click.pass_context
-def boundary_cmd(ctx, dim, i_min, i_max, grid, shots, ray):
+def boundary_cmd(ctx, dim, **options):
     """Stopping boundary table: columns i, f, h and the ratio f/i."""
-    ctx.exit(dispatch(_config(
-        ctx, "boundary", d=dim, grid=grid,
-        i_min=i_min, i_max=i_max, shots=shots, ray=ray,
-    )))
+    _run(ctx, _cmd_boundary, d=dim, **options)
 
 
 @main.command("value")
@@ -500,7 +432,7 @@ def boundary_cmd(ctx, dim, i_min, i_max, grid, shots, ray):
 @click.pass_context
 def value_cmd(ctx, dim, lam, i_, x_):
     """Expected-loss value at (i, x): closed form and quadrature side by side."""
-    ctx.exit(dispatch(_config(ctx, "value", d=dim, lam=lam, i=i_, x=x_)))
+    _run(ctx, _cmd_value, d=dim, lam=lam, i=i_, x=x_)
 
 
 @main.command("distribution")
@@ -510,9 +442,9 @@ def value_cmd(ctx, dim, lam, i_, x_):
 @click.option("--x0", type=float, default=1.0, show_default=True,
               help="Starting state (state units).")
 @click.pass_context
-def distribution_cmd(ctx, dim, lam, x0):
+def distribution_cmd(ctx, dim, **options):
     """Law of the stopped state: exponent, mean, quantiles."""
-    ctx.exit(dispatch(_config(ctx, "distribution", d=dim, lam=lam, x0=x0)))
+    _run(ctx, _cmd_distribution, d=dim, **options)
 
 
 @main.command("simulate")
@@ -535,22 +467,16 @@ def distribution_cmd(ctx, dim, lam, x0):
               help="Sample sub-step minima from the diffusion bridge.")
 @click.option("--check", is_flag=True, default=False,
               help="Run the statistical certification suite instead of a plain "
-                   "estimate; exit code 4 if any check fails.")
+                   "estimate; exit code 4 if any check fails.  Only --n-paths, "
+                   "--step and --seed apply to the suite; --dim, --x0, --rule, "
+                   "--horizon, --scheme and --bridge are ignored.")
 @click.option("--checks", "check_groups", multiple=True,
               help="Restrict --check to named groups (golden-rule, future-min, "
                    "cev); repeatable.")
 @click.pass_context
-def simulate_cmd(ctx, dim, x0, rules, n_paths, step, horizon, scheme, bridge,
-                 check, check_groups):
+def simulate_cmd(ctx, dim, **options):
     """Monte Carlo objective estimates, or the statistical check suite."""
-    ctx.exit(dispatch(_config(
-        ctx, "simulate", d=dim, horizon=horizon,
-        n_paths=n_paths if n_paths is not None else 50_000,
-        step=step if step is not None else 1e-4,
-        x0=x0, rules=rules, scheme=scheme, bridge=bridge,
-        check=check, check_groups=check_groups,
-        n_paths_opt=n_paths, step_opt=step,
-    )))
+    _run(ctx, _cmd_simulate, seed=ctx.obj["seed"], d=dim, **options)
 
 
 @main.command("cev")
@@ -573,12 +499,9 @@ def simulate_cmd(ctx, dim, x0, rules, n_paths, step, horizon, scheme, bridge,
 @click.option("--bridge/--no-bridge", default=True, show_default=True,
               help="Sample sub-step minima from the diffusion bridge.")
 @click.pass_context
-def cev_cmd(ctx, dim, c_sigma, z0, kappas, n_paths, step, horizon, scheme, bridge):
+def cev_cmd(ctx, dim, **options):
     """Objective sweep over drawdown thresholds on the price side."""
-    ctx.exit(dispatch(_config(
-        ctx, "cev", d=dim, c_sigma=c_sigma, n_paths=n_paths, step=step,
-        horizon=horizon, z0=z0, kappas=kappas, scheme=scheme, bridge=bridge,
-    )))
+    _run(ctx, _cmd_cev, seed=ctx.obj["seed"], d=dim, **options)
 
 
 @main.command("fib")
@@ -587,7 +510,7 @@ def cev_cmd(ctx, dim, c_sigma, z0, kappas, n_paths, step, horizon, scheme, bridg
 @click.pass_context
 def fib_cmd(ctx, n):
     """Fibonacci retracement levels and their golden-ratio limits."""
-    ctx.exit(dispatch(_config(ctx, "fib", n=n)))
+    _run(ctx, _cmd_fib, n=n)
 
 
 if __name__ == "__main__":

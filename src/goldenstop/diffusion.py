@@ -31,8 +31,8 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp

@@ -40,7 +40,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaincinv, ndtri

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import goldenstop as g
-from goldenstop.cli import RunConfig, dispatch, main
+from goldenstop.cli import main
 
 LAM3 = g.bessel_lambda(3.0)
 
@@ -169,8 +169,15 @@ def test_bad_rule_text_exit_2():
 
 
 def test_click_usage_error_exit_2():
-    res = CliRunner().invoke(main, ["--threads", "0", "lambda"])
+    res = CliRunner().invoke(main, ["boundary", "--grid", "3"])
     assert res.exit_code == 2
+    assert "--grid" in res.stderr
+
+
+def test_threads_option_is_gone():
+    res = CliRunner().invoke(main, ["--threads", "2", "lambda"])
+    assert res.exit_code == 2
+    assert "No such option" in res.stderr
 
 
 def test_numerical_failure_exit_3(monkeypatch):
@@ -324,13 +331,29 @@ def test_help_lists_subcommands():
         assert name in res.output
 
 
-def test_runconfig_defaults():
-    cfg = RunConfig(command="lambda")
-    assert cfg.d == 3.0 and cfg.step == 1e-4 and cfg.horizon == 50.0
-    assert cfg.n_paths == 50_000 and cfg.seed == 42 and cfg.grid == 129
-    assert cfg.fmt == "csv" and cfg.out is None and cfg.threads == 1
+def test_simulate_sampling_defaults(monkeypatch):
+    # a plain estimate runs 50,000 paths at step 1e-4; --check leaves both
+    # to the certification suite
+    seen = {}
+
+    def fake_compare(model, x0, rules, **kwargs):
+        seen["compare"] = kwargs
+        return g.RuleComparison(estimates=[], objectives=None, rule_ids=[])
+
+    def fake_checks(**kwargs):
+        seen["checks"] = kwargs
+        return []
+
+    monkeypatch.setattr("goldenstop.cli.compare_rules", fake_compare)
+    monkeypatch.setattr("goldenstop.cli.run_checks", fake_checks)
+    assert CliRunner().invoke(main, ["simulate"]).exit_code == 0
+    assert seen["compare"]["n_paths"] == 50_000 and seen["compare"]["step"] == 1e-4
+    assert seen["compare"]["seed"] == 42 and seen["compare"]["horizon"] == 50.0
+    assert CliRunner().invoke(main, ["simulate", "--check"]).exit_code == 0
+    assert seen["checks"] == dict(groups=None, n_paths=None, seed=42, step=None)
 
 
-def test_dispatch_unknown_command(capsys):
-    assert dispatch(RunConfig(command="frobnicate")) == 2
-    assert "unknown command" in capsys.readouterr().err
+def test_unknown_subcommand_exit_2():
+    res = CliRunner().invoke(main, ["frobnicate"])
+    assert res.exit_code == 2
+    assert "No such command" in res.stderr
