@@ -227,6 +227,8 @@ class _Shot:
 
         def inv_rhs(f, y):
             i = y[0]
+            if i <= 0.0:  # a trial stage left the domain; nan rejects the step
+                return [math.nan]
             li = float(L(i))
             lf = float(L(f))
             c = 1.0 - 2.0 * lf / li

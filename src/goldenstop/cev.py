@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +40,7 @@ from .simulate import (
     StoppingRule,
     _first_true,
     _lane_blocks,
+    _sharded,
     estimate_objective,
     simulate_rules,
 )
@@ -224,7 +226,9 @@ def direct_stopped_samples(
     sampler; shares the per-path stream contract (two uniforms per step,
     the second unused) but nothing else with the Bessel engine.  The
     scheme floors Z at 1e-10 where the volatility vanishes (absorption);
-    the trigger S >= kappa Z fires long before that in practice.
+    the trigger S >= kappa Z fires long before that in practice.  Paths
+    whose price overflows (too coarse a step) are left out of the sample,
+    with a warning, as are truncated paths.
 
     Returns (sorted stopped-Z sample, truncated count).
     """
@@ -236,32 +240,46 @@ def direct_stopped_samples(
         raise DomainError(f"need n_paths >= 1, got {n_paths}")
     n_max = int(math.ceil(horizon / step - 1e-9))
     sqdt = math.sqrt(step)
-    out_z = np.empty(n_paths)
-    out_trunc = np.zeros(n_paths, dtype=bool)
     z0, sigma, p = float(z0), cev.sigma, 1.0 + cev.beta
-    for ln in _lane_blocks(seed, n_paths, n_max, dict(Z=z0, S=z0)):
-        Z, S = np.empty((2, ln.steps + 1, ln.index.size))
-        Z[0], S[0] = ln.state["Z"], ln.state["S"]
-        for k in range(ln.steps):
-            Zk = Z[k]
-            np.maximum(Zk + sigma * Zk ** p * sqdt * ln.z[k], CEV_FLOOR, out=Z[k + 1])
-            np.maximum(S[k], Z[k + 1], out=S[k + 1])
-        Z, S = Z[1:], S[1:]
-        cols, rows = _first_true(S >= kappa * Z)
-        out_z[ln.index[cols]] = Z[rows, cols]
-        ln.done[cols] = True
-        last = ~ln.done & (ln.offset + ln.steps == n_max)
-        out_z[ln.index[last]] = Z[-1, last]
-        out_trunc[ln.index[last]] = True
-        ln.state.update(Z=Z[-1].copy(), S=S[-1].copy())
-    n_trunc = int(out_trunc.sum())
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def run(lo, hi):
+        # stopped price, horizon reached, step at which Z overflowed (0: never)
+        out = SimpleNamespace(z=np.empty(hi - lo), trunc=np.zeros(hi - lo, dtype=bool),
+                              blowup=np.zeros(hi - lo, dtype=np.int64))
+        for ln in _lane_blocks(seed, lo, hi, n_max, dict(Z=z0, S=z0)):
+            Z, S = np.empty((2, ln.steps + 1, ln.index.size))
+            Z[0], S[0] = ln.state["Z"], ln.state["S"]
+            for k in range(ln.steps):
+                Zk = Z[k]
+                np.maximum(Zk + sigma * Zk ** p * sqdt * ln.z[k], CEV_FLOOR, out=Z[k + 1])
+                np.maximum(S[k], Z[k + 1], out=S[k + 1])
+            Z, S = Z[1:], S[1:]
+            cols, rows = _first_true((S >= kappa * Z) | ~np.isfinite(Z))
+            ids = ln.index[cols] - lo
+            out.z[ids] = Z[rows, cols]
+            out.blowup[ids] = np.where(np.isfinite(out.z[ids]), 0, ln.t[rows, cols])
+            ln.done[cols] = True
+            last = ~ln.done & (ln.offset + ln.steps == n_max)
+            out.z[ln.index[last] - lo] = Z[-1, last]
+            out.trunc[ln.index[last] - lo] = True
+            ln.state.update(Z=Z[-1].copy(), S=S[-1].copy())
+        return out
+
+    out = _sharded(run, n_paths)
+    n_trunc = int(out.trunc.sum())
     if n_trunc > 0.01 * n_paths:
         warnings.warn(
             f"{n_trunc} of {n_paths} direct CEV paths hit the horizon before "
             "the drawdown trigger",
             stacklevel=2,
         )
-    return np.sort(out_z[~out_trunc]), n_trunc
+    blown = np.nonzero(out.blowup)[0]
+    if blown.size:
+        k = blown[np.argmin(out.blowup[blown])]
+        warnings.warn(f"excluding {blown.size} direct CEV paths whose Euler price overflowed "
+                      f"(first: path {k} at t={out.blowup[k] * step:g}); reduce step", stacklevel=2)
+    return np.sort(out.z[~out.trunc & (out.blowup == 0)]), n_trunc
 
 
 def martingale_defect_table(

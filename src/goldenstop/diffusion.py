@@ -246,6 +246,29 @@ def validate_model(model: DiffusionModel, n_probe: int = 9) -> list:
     return msgs
 
 
+def _pointwise(*sols):
+    """Elementwise evaluator of scalar ``solve_ivp`` dense outputs.
+
+    ``OdeSolution`` evaluates a step's polynomial by a matrix product whose
+    rounding depends on how many points share the call; Horner's rule on
+    each point's own step does not.  The solutions' steps must tile a range.
+    """
+    steps = sorted((q for sol in sols for q in sol.interpolants), key=lambda q: q.t_min)
+    t_min, t_old, h = (np.array([getattr(q, a) for q in steps]) for a in ("t_min", "t_old", "h"))
+    y_old = np.array([q.y_old[0] for q in steps])
+    coef = np.array([q.Q[0] for q in steps]).T
+
+    def evaluate(t):
+        s = np.clip(np.searchsorted(t_min, t, side="right") - 1, 0, len(steps) - 1)
+        x = (t - t_old[s]) / h[s]
+        acc = coef[-1][s]
+        for c in coef[-2::-1]:
+            acc = acc * x + c[s]
+        return y_old[s] + h[s] * (acc * x)
+
+    return evaluate
+
+
 def model_from_coefficients(
     drift: Callable,
     volatility: Callable,
@@ -293,15 +316,7 @@ def model_from_coefficients(
             f"scale exponent integration failed: {sol_up.message} / {sol_dn.message}"
         )
 
-    def e_of_t(t):
-        t = np.asarray(t, dtype=float)
-        up = t >= t_ref
-        out = np.empty_like(t)
-        if np.any(up):
-            out[up] = sol_up.sol(t[up])[0]
-        if np.any(~up):
-            out[~up] = sol_dn.sol(t[~up])[0]
-        return out
+    e_of_t = _pointwise(sol_up.sol, sol_dn.sol)
 
     def tail_rhs(t, y):
         return [-math.exp(-float(e_of_t(t))) * math.exp(t)]
@@ -310,16 +325,15 @@ def model_from_coefficients(
                          rtol=rtol, atol=atol, method="RK45")
     if not sol_tail.success:
         raise NumericalError(f"scale tail integration failed: {sol_tail.message}")
+    tail = _pointwise(sol_tail.sol)
 
-    t_norm = float(sol_tail.sol(t_ref)[0])
+    t_norm = float(tail(t_ref))
     if t_norm <= 0.0:
         raise NumericalError("scale tail came out nonpositive; check the coefficients")
 
     def scale(x):
         x = np.asarray(x, dtype=float)
-        t = np.log(x)
-        vals = sol_tail.sol(np.atleast_1d(t))[0] / t_norm
-        vals = -vals
+        vals = -(tail(np.log(np.atleast_1d(x))) / t_norm)
         return vals if x.ndim else float(vals[0])
 
     def scale_deriv(x):

@@ -29,6 +29,15 @@ their places, each lane keeping its own step offset.  A run therefore has
 one straggler tail, and by the contract above neither knob changes any
 result.
 
+Shards
+------
+A pass of 2,048 paths or more runs as contiguous path-index shards
+[lo, hi) of at least 1,024 paths, one per usable CPU: the first in the
+calling process, the others in workers forked from it (none without the
+``fork`` start method, or while the caller runs other threads).  The
+per-path outputs are merged in path order, so by the contract above the
+pass is bit-identical to a serial one.
+
 The objective accumulated along a path is int_0^tau c(I_t, X_t) dt by the
 trapezoid rule on the step grid; a rule that triggers at t = 0 reports
 objective 0.
@@ -36,7 +45,10 @@ objective 0.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -190,12 +202,17 @@ class MonteCarloEstimate:
 
 @dataclass(frozen=True)
 class PathStream:
-    """Per-path random streams: uniforms for stepping, uniforms for gammas."""
+    """Per-path random streams: uniforms for stepping, uniforms for gammas
+    (built on first use: Euler paths draw gammas only near the origin)."""
 
     uniform: np.random.Generator
-    gamma: np.random.Generator
     seed: int
     index: int
+
+    @functools.cached_property
+    def gamma(self) -> np.random.Generator:
+        key = np.array([self.seed, 2 * self.index + 1], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 def make_path_stream(seed: int, index: int) -> PathStream:
@@ -205,13 +222,8 @@ def make_path_stream(seed: int, index: int) -> PathStream:
     if index < 0 or index >= 2**62:
         raise DomainError(f"path index out of range: {index}")
     key_u = np.array([seed, 2 * index], dtype=np.uint64)
-    key_g = np.array([seed, 2 * index + 1], dtype=np.uint64)
-    return PathStream(
-        uniform=np.random.Generator(np.random.Philox(key=key_u)),
-        gamma=np.random.Generator(np.random.Philox(key=key_g)),
-        seed=seed,
-        index=index,
-    )
+    return PathStream(uniform=np.random.Generator(np.random.Philox(key=key_u)),
+                      seed=seed, index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -296,29 +308,82 @@ class BatchResult:
         self.path_steps_stepped = 0
 
 
-def _lane_blocks(seed, n_paths, n_max, init, width=8192, block=256, streams=None):
+# a narrower shard costs more in fork round trip and straggler tail than it saves
+_MIN_SHARD_PATHS = 1024
+
+
+def _shards(n_paths, cpus):
+    """[lo, hi) ranges tiling [0, n_paths): one per CPU, none below the minimum."""
+    k = max(1, min(cpus, n_paths // _MIN_SHARD_PATHS))
+    return [(n_paths * s // k, n_paths * (s + 1) // k) for s in range(k)]
+
+
+def _adopt(run):
+    global _job  # set in forked shard workers only
+    _job = run
+
+
+def _run_adopted(lo, hi):
+    return _job(lo, hi)
+
+
+def _sharded(run, n_paths):
+    """``run(lo, hi)`` over [0, n_paths), one path-index shard per usable CPU.
+
+    This process runs the first shard, forked workers the others: ``run``
+    reaches them by the fork, not by pickle.  Shard results are merged by
+    path index (array attributes concatenated on the last axis, integers
+    summed); the lowest-indexed failing shard's exception is re-raised.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    shards = _shards(n_paths, cpus)
+    # forking a process that runs other threads can deadlock the child
+    if len(shards) < 2 or threading.active_count() > 1:
+        return run(0, n_paths)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return run(0, n_paths)
+
+    with ProcessPoolExecutor(len(shards) - 1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(run,)) as pool:
+        futures = [pool.submit(_run_adopted, lo, hi) for lo, hi in shards[1:]]
+        parts = [run(*shards[0])] + [f.result() for f in futures]
+    out = parts[0]
+    for key, v in vars(out).items():
+        vals = [vars(p)[key] for p in parts]
+        if isinstance(v, np.ndarray):
+            setattr(out, key, np.concatenate(vals, axis=-1))
+        elif isinstance(v, int):
+            setattr(out, key, sum(vals))
+    return out
+
+
+def _lane_blocks(seed, lo, hi, n_max, init, width=8192, block=256):
     """Admit/fill/retire iterator behind every path-advancing loop.
 
-    Up to ``width`` lanes run side by side.  A lane is one path: its index,
-    streams, step offset and state arrays (one per name in ``init``, lane
-    axis last, admitted at the ``init`` value).  Each yield is one block of
-    ``steps`` steps with its draws made: ``z`` and ``u`` are (steps, lanes)
-    arrays of each step's normal increment and floored bridge uniform, and
-    ``t`` the step index each row reaches.  The caller advances ``state``
-    and marks ``done`` the lanes it has finished; at the next boundary those
-    and the lanes that reached ``n_max`` retire and new paths take their places.
+    Up to ``width`` lanes run the paths [lo, hi) side by side.  A lane is one
+    path: its index, streams, step offset and state arrays (one per name in
+    ``init``, lane axis last, admitted at the ``init`` value).  Each yield is
+    one block of ``steps`` steps with its draws made: ``z`` and ``u`` are
+    (steps, lanes) arrays of each step's normal increment and floored bridge
+    uniform, and ``t`` the step index each row reaches.  The caller advances
+    ``state`` and marks ``done`` the lanes it has finished; at the next
+    boundary those and the lanes that reached ``n_max`` retire and new paths
+    take their places.
     """
     col = {k: np.asarray(v)[..., None] for k, v in init.items()}
     ln = SimpleNamespace(index=np.zeros(0, dtype=np.int64), offset=np.zeros(0, dtype=np.int64),
                          streams=[], done=np.zeros(0, dtype=bool),
                          state={k: c[..., :0] for k, c in col.items()})
-    admitted = 0
+    admitted = lo
     while True:
         keep = ~ln.done & (ln.offset < n_max)
-        lo, admitted = admitted, min(admitted + width - int(keep.sum()), n_paths)
-        new = np.arange(lo, admitted)
-        fresh = [make_path_stream(seed, p) for p in new] if streams is None else streams[lo:admitted]
-        ln.streams = [s for s, kp in zip(ln.streams, keep) if kp] + list(fresh)
+        first, admitted = admitted, min(admitted + width - int(keep.sum()), hi)
+        new = np.arange(first, admitted)
+        ln.streams = [s for s, kp in zip(ln.streams, keep) if kp] + [
+            make_path_stream(seed, p) for p in new]
         ln.index = np.concatenate([ln.index[keep], new])
         ln.offset = np.concatenate([ln.offset[keep], np.zeros(new.size, dtype=np.int64)])
         ln.state = {k: np.concatenate([v[..., keep], np.repeat(col[k], new.size, -1)], -1)
@@ -348,6 +413,153 @@ def _first_true(hit):
     return cols, first[cols]
 
 
+def _engine(model, x0, rules, seed, step, horizon, scheme, bridge,
+            chunk_paths=8192, block_steps=256):
+    """Check one pass's arguments; return ``run(lo, hi)``, which advances
+    the paths [lo, hi) and returns their BatchResult, ``hi - lo`` wide."""
+    if not (x0 > 0.0 and math.isfinite(x0)):
+        raise DomainError(f"need x0 > 0, got {x0}")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise DomainError(f"need step > 0, got {step}")
+    if not (horizon > 0.0):
+        raise DomainError(f"need horizon > 0, got {horizon}")
+    if chunk_paths < 1 or block_steps < 1:
+        raise DomainError(f"need chunk_paths, block_steps >= 1, got {chunk_paths}, {block_steps}")
+    if scheme not in ("euler", "exact"):
+        raise DomainError(f"unknown scheme {scheme!r}")
+    if scheme == "exact" and model.kind != "bessel":
+        raise DomainError("the exact transition scheme is Bessel-specific")
+    if not rules:
+        raise DomainError("need at least one rule")
+    seed = _check_seed(seed)
+
+    compiled = [_CompiledRule(r, model, step) for r in rules]
+    rule_ids = [sp.rule_id for sp in compiled]
+    n_max = int(math.ceil(horizon / step - 1e-9))
+
+    # rules that hold at t = 0 (fixed_time(0), a degenerate boundary) fire
+    # there on every path with objective 0
+    x0 = float(x0)
+    start = np.full(1, x0)
+    at0 = np.array([sp.triggered(start, start, np.zeros(1, np.int64))[0] for sp in compiled])
+
+    is_bessel = model.kind == "bessel"
+    if is_bessel:
+        d = model.dim
+        nu = d - 2.0
+        drift_num = gshape = (d - 1.0) / 2.0  # drift (d-1)/(2x); chi-square substep shape
+        # union of the drift-dominance region mu*step > 0.1 x (radius
+        # sqrt(5(d-1) step)) and the region a diffusive step could cross zero
+        x_guard = max(4.0 * math.sqrt((d - 1.0) * step), 8.5 * math.sqrt(step))
+    sqdt = math.sqrt(step)
+    init = dict(X=x0, I=x0, obj=0.0, cprev=-1.0, theta=0, pending=~at0)
+
+    def run(lo, hi):
+        res = BatchResult(len(compiled), hi - lo)
+        res.rule_ids = rule_ids
+        res.x_stop[at0] = res.i_stop[at0] = x0
+        if at0.all():
+            return res
+        for ln in _lane_blocks(seed, lo, hi, n_max, init, chunk_paths, block_steps):
+            B, m, st = ln.steps, ln.index.size, ln.state
+            res.path_steps_stepped += m * B
+
+            # the block: state update only, one history row per step
+            X = np.empty((B + 1, m))
+            X[0] = st["X"]
+            SZ, VOL = (sqdt * ln.z, None) if is_bessel else (None, np.empty((B, m)))
+            if scheme == "exact":
+                G = np.array([ps.gamma.random(B) for ps in ln.streams])
+                SG = np.ascontiguousarray((step * (2.0 * gammaincinv(gshape, G))).T)
+                for k in range(B):
+                    np.sqrt((X[k] + SZ[k]) ** 2 + SG[k], out=X[k + 1])
+            elif is_bessel:
+                for k in range(B):
+                    a = X[k]
+                    Xn = a + drift_num / a * step + SZ[k]
+                    guarded = a < x_guard
+                    if guarded.any():
+                        rows = np.nonzero(guarded)[0]
+                        gu = np.array([ln.streams[r].gamma.random() for r in rows])
+                        gdraw = 2.0 * gammaincinv(gshape, np.maximum(gu, _U_FLOOR))
+                        Xn[rows] = np.sqrt((a[rows] + SZ[k, rows]) ** 2 + step * gdraw)
+                    np.maximum(Xn, EULER_FLOOR, out=X[k + 1])
+            else:
+                for k in range(B):
+                    a = X[k]
+                    mu = np.asarray(model.drift(a), dtype=float)
+                    VOL[k] = sg = np.asarray(model.volatility(a), dtype=float)
+                    np.maximum(a + mu * step + sg * sqdt * ln.z[k], EULER_FLOOR, out=X[k + 1])
+
+            # running minimum (bridge-sharpened), its time, the objective
+            a, Xn = X[:-1], X[1:]
+            new_min = np.minimum(a, Xn)
+            if bridge:
+                sg2 = 1.0 if is_bessel else VOL**2
+                arg = (a - Xn) ** 2 - (2.0 * step) * sg2 * np.log(ln.u)
+                mb = np.maximum(0.5 * ((a + Xn) - np.sqrt(arg)), EULER_FLOOR)
+                # near the origin the interpolating bridge is not Brownian;
+                # keep endpoint monitoring there
+                new_min = np.where(new_min < x_guard, new_min, mb) if is_bessel else mb
+            # (row loops: numpy's accumulate along axis 0 is ~10x slower)
+            I = np.vstack([st["I"], new_min])
+            for k in range(B):
+                np.minimum(I[k], I[k + 1], out=I[k + 1])
+            theta = np.vstack([st["theta"], (new_min < I[:-1]) * ln.t])
+            I = I[1:]
+            if is_bessel:
+                r = I / Xn
+                c = 1.0 - 2.0 * (r if nu == 1.0 else r**nu)
+            else:
+                sx, si = (np.asarray(model.scale(v.ravel()), dtype=float) for v in (Xn, I))
+                c = (1.0 - 2.0 * sx / si).reshape(Xn.shape)
+            obj = np.vstack([st["obj"], (0.5 * step) * (np.vstack([st["cprev"], c[:-1]]) + c)])
+            for k in range(B):
+                np.add(obj[k], obj[k + 1], out=obj[k + 1])
+                np.maximum(theta[k], theta[k + 1], out=theta[k + 1])
+            obj, theta = obj[1:], theta[1:]
+
+            # each pending rule's first trigger in the block, then the horizon
+            pending = st["pending"]
+
+            def record(j, cols, rows, truncated):
+                ids = ln.index[cols] - lo
+                res.stop_step[j, ids] = ln.t[rows, cols]
+                res.x_stop[j, ids] = Xn[rows, cols]
+                res.i_stop[j, ids] = I[rows, cols]
+                res.objective[j, ids] = obj[rows, cols]
+                res.theta_step[j, ids] = theta[rows, cols]
+                res.truncated[j, ids] = truncated
+                pending[j, cols] = False
+
+            for j in np.nonzero(pending.any(axis=1))[0]:
+                hit = compiled[j].triggered(Xn, I, ln.t)
+                hit &= pending[j]
+                record(j, *_first_true(hit), False)
+            at_h = ln.offset + B == n_max
+            for j, row in enumerate(pending & at_h):
+                record(j, np.nonzero(row)[0], B - 1, True)
+
+            # a failed Euler step counts only on a lane still live at that step
+            if scheme == "euler":
+                bad = (Xn <= EULER_FLOOR) & ~(a < x_guard) if is_bessel else Xn <= EULER_FLOOR
+                cols, rows = _first_true(bad)
+                t_bad, p_bad = ln.t[rows, cols], ln.index[cols]
+                last = res.stop_step[:, p_bad - lo].max(axis=0)
+                live = np.nonzero(pending[:, cols].any(axis=0) | (t_bad <= last))[0]
+                if live.size:
+                    e = live[np.lexsort((p_bad[live], t_bad[live]))[0]]
+                    raise SchemeError(f"Euler step drove path {p_bad[e]} to X <= {EULER_FLOOR:g} "
+                                      f"at t={t_bad[e] * step:g}; reduce step")
+
+            ln.done = ~pending.any(axis=0)
+            st.update(X=Xn[-1].copy(), I=I[-1].copy(), obj=obj[-1].copy(),
+                      cprev=c[-1].copy(), theta=theta[-1].copy())
+        return res
+
+    return run
+
+
 def simulate_rules(
     model: DiffusionModel,
     x0: float,
@@ -360,157 +572,19 @@ def simulate_rules(
     bridge: bool = True,
     chunk_paths: int = 8192,
     block_steps: int = 256,
-    _streams: Optional[Sequence[PathStream]] = None,
 ) -> BatchResult:
     """One common-random-numbers pass recording every rule's first trigger.
 
     The trajectory does not depend on the rules, so evaluating many rules
     in one pass is exactly equivalent to separate runs with the same seed.
     ``chunk_paths`` is the lane width and ``block_steps`` the block length
-    of lane refill (module docstring); neither affects results.
+    of lane refill within each shard (module docstring); neither affects
+    results.
     """
-    if not (x0 > 0.0 and math.isfinite(x0)):
-        raise DomainError(f"need x0 > 0, got {x0}")
-    if not (step > 0.0 and math.isfinite(step)):
-        raise DomainError(f"need step > 0, got {step}")
-    if not (horizon > 0.0):
-        raise DomainError(f"need horizon > 0, got {horizon}")
+    run = _engine(model, x0, rules, seed, step, horizon, scheme, bridge, chunk_paths, block_steps)
     if n_paths < 1:
         raise DomainError(f"need n_paths >= 1, got {n_paths}")
-    if chunk_paths < 1 or block_steps < 1:
-        raise DomainError(f"need chunk_paths, block_steps >= 1, got {chunk_paths}, {block_steps}")
-    if scheme not in ("euler", "exact"):
-        raise DomainError(f"unknown scheme {scheme!r}")
-    if scheme == "exact" and model.kind != "bessel":
-        raise DomainError("the exact transition scheme is Bessel-specific")
-    if not rules:
-        raise DomainError("need at least one rule")
-    seed = _check_seed(seed)
-    if _streams is not None and len(_streams) != n_paths:
-        raise DomainError("need one stream per path")
-
-    compiled = [_CompiledRule(r, model, step) for r in rules]
-    n_max = int(math.ceil(horizon / step - 1e-9))
-    res = BatchResult(len(compiled), n_paths)
-    res.rule_ids = [sp.rule_id for sp in compiled]
-    res.n_max = n_max
-
-    # rules that hold at t = 0 (fixed_time(0), a degenerate boundary) fire
-    # there on every path with objective 0
-    x0 = float(x0)
-    start = np.full(1, x0)
-    at0 = np.array([sp.triggered(start, start, np.zeros(1, np.int64))[0] for sp in compiled])
-    res.x_stop[at0] = res.i_stop[at0] = x0
-    if at0.all():
-        return res
-
-    is_bessel = model.kind == "bessel"
-    if is_bessel:
-        d = model.dim
-        nu = d - 2.0
-        drift_num = gshape = (d - 1.0) / 2.0  # drift (d-1)/(2x); chi-square substep shape
-        # union of the drift-dominance region mu*step > 0.1 x (radius
-        # sqrt(5(d-1) step)) and the region a diffusive step could cross zero
-        x_guard = max(4.0 * math.sqrt((d - 1.0) * step), 8.5 * math.sqrt(step))
-    sqdt = math.sqrt(step)
-
-    init = dict(X=x0, I=x0, obj=0.0, cprev=-1.0, theta=0, pending=~at0)
-    for ln in _lane_blocks(seed, n_paths, n_max, init, chunk_paths, block_steps, _streams):
-        B, m, st = ln.steps, ln.index.size, ln.state
-        res.path_steps_stepped += m * B
-
-        # the block: state update only, one history row per step
-        X = np.empty((B + 1, m))
-        X[0] = st["X"]
-        SZ, VOL = (sqdt * ln.z, None) if is_bessel else (None, np.empty((B, m)))
-        if scheme == "exact":
-            G = np.array([ps.gamma.random(B) for ps in ln.streams])
-            SG = np.ascontiguousarray((step * (2.0 * gammaincinv(gshape, G))).T)
-            for k in range(B):
-                np.sqrt((X[k] + SZ[k]) ** 2 + SG[k], out=X[k + 1])
-        elif is_bessel:
-            for k in range(B):
-                a = X[k]
-                Xn = a + drift_num / a * step + SZ[k]
-                guarded = a < x_guard
-                if guarded.any():
-                    rows = np.nonzero(guarded)[0]
-                    gu = np.array([ln.streams[r].gamma.random() for r in rows])
-                    gdraw = 2.0 * gammaincinv(gshape, np.maximum(gu, _U_FLOOR))
-                    Xn[rows] = np.sqrt((a[rows] + SZ[k, rows]) ** 2 + step * gdraw)
-                np.maximum(Xn, EULER_FLOOR, out=X[k + 1])
-        else:
-            for k in range(B):
-                a = X[k]
-                mu = np.asarray(model.drift(a), dtype=float)
-                VOL[k] = sg = np.asarray(model.volatility(a), dtype=float)
-                np.maximum(a + mu * step + sg * sqdt * ln.z[k], EULER_FLOOR, out=X[k + 1])
-
-        # running minimum (bridge-sharpened), its time, the objective
-        a, Xn = X[:-1], X[1:]
-        new_min = np.minimum(a, Xn)
-        if bridge:
-            sg2 = 1.0 if is_bessel else VOL**2
-            arg = (a - Xn) ** 2 - (2.0 * step) * sg2 * np.log(ln.u)
-            mb = np.maximum(0.5 * ((a + Xn) - np.sqrt(arg)), EULER_FLOOR)
-            # near the origin the interpolating bridge is not Brownian;
-            # keep endpoint monitoring there
-            new_min = np.where(new_min < x_guard, new_min, mb) if is_bessel else mb
-        # (row loops: numpy's accumulate along axis 0 is ~10x slower)
-        I = np.vstack([st["I"], new_min])
-        for k in range(B):
-            np.minimum(I[k], I[k + 1], out=I[k + 1])
-        theta = np.vstack([st["theta"], (new_min < I[:-1]) * ln.t])
-        I = I[1:]
-        if is_bessel:
-            r = I / Xn
-            c = 1.0 - 2.0 * (r if nu == 1.0 else r**nu)
-        else:
-            sx, si = (np.asarray(model.scale(v.ravel()), dtype=float) for v in (Xn, I))
-            c = (1.0 - 2.0 * sx / si).reshape(Xn.shape)
-        obj = np.vstack([st["obj"], (0.5 * step) * (np.vstack([st["cprev"], c[:-1]]) + c)])
-        for k in range(B):
-            np.add(obj[k], obj[k + 1], out=obj[k + 1])
-            np.maximum(theta[k], theta[k + 1], out=theta[k + 1])
-        obj, theta = obj[1:], theta[1:]
-
-        # each pending rule's first trigger in the block, then the horizon
-        pending = st["pending"]
-
-        def record(j, cols, rows, truncated):
-            ids = ln.index[cols]
-            res.stop_step[j, ids] = ln.t[rows, cols]
-            res.x_stop[j, ids] = Xn[rows, cols]
-            res.i_stop[j, ids] = I[rows, cols]
-            res.objective[j, ids] = obj[rows, cols]
-            res.theta_step[j, ids] = theta[rows, cols]
-            res.truncated[j, ids] = truncated
-            pending[j, cols] = False
-
-        for j in np.nonzero(pending.any(axis=1))[0]:
-            hit = compiled[j].triggered(Xn, I, ln.t)
-            hit &= pending[j]
-            record(j, *_first_true(hit), False)
-        at_h = ln.offset + B == n_max
-        for j, row in enumerate(pending & at_h):
-            record(j, np.nonzero(row)[0], B - 1, True)
-
-        # a failed Euler step counts only on a lane still live at that step
-        if scheme == "euler":
-            bad = (Xn <= EULER_FLOOR) & ~(a < x_guard) if is_bessel else Xn <= EULER_FLOOR
-            cols, rows = _first_true(bad)
-            t_bad, p_bad = ln.t[rows, cols], ln.index[cols]
-            last = res.stop_step[:, p_bad].max(axis=0)
-            live = np.nonzero(pending[:, cols].any(axis=0) | (t_bad <= last))[0]
-            if live.size:
-                e = live[np.lexsort((p_bad[live], t_bad[live]))[0]]
-                raise SchemeError(f"Euler step drove path {p_bad[e]} to X <= {EULER_FLOOR:g} "
-                                  f"at t={t_bad[e] * step:g}; reduce step")
-
-        ln.done = ~pending.any(axis=0)
-        st.update(X=Xn[-1].copy(), I=I[-1].copy(), obj=obj[-1].copy(),
-                  cprev=c[-1].copy(), theta=theta[-1].copy())
-    return res
+    return _sharded(run, n_paths)
 
 
 def simulate_path(
@@ -526,13 +600,11 @@ def simulate_path(
     """Advance a single path until the rule fires or the horizon is hit.
 
     With a freshly made stream for (seed, k) this reproduces path k of the
-    batch estimators bit for bit.
+    batch estimators bit for bit: the path is run afresh from
+    (``stream.seed``, ``stream.index``).
     """
-    res = simulate_rules(
-        model, x0, [rule], 1,
-        seed=stream.seed, step=step, horizon=horizon,
-        scheme=scheme, bridge=bridge, _streams=[stream],
-    )
+    run = _engine(model, x0, [rule], stream.seed, step, horizon, scheme, bridge)
+    res = run(stream.index, stream.index + 1)
     return PathOutcome(
         stop_time=float(res.stop_step[0, 0]) * step,
         x_stop=float(res.x_stop[0, 0]),

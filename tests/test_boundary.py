@@ -9,6 +9,7 @@ root finder without sharing any code path.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,3 +179,14 @@ def test_boundary_csv_h_reconstruction(tmp_path):
         g.boundary_from_csv(path)  # h missing, no model to rebuild it
     back = g.boundary_from_csv(path, model=m)
     assert np.allclose(back.h_grid, 2.0 * back.i_grid, rtol=1e-12, atol=0)
+
+
+def test_custom_boundary_shot_stays_in_domain():
+    """The first shooting phase rejects trial stages below i = 0 itself
+    instead of evaluating the numeric scale at a negative abscissa."""
+    m3 = _m3()
+    m = g.model_from_coefficients(m3.drift, m3.volatility)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        b = g.minimal_boundary(m, 0.5, 2.0)
+    assert np.max(np.abs(b.f_grid / (g.bessel_lambda(3.0) * b.i_grid) - 1.0)) < 1e-2

@@ -6,6 +6,8 @@ obtained by integrating the reciprocal against the transition density.
 """
 
 import math
+import os
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -14,6 +16,7 @@ from scipy.special import erf, ndtri
 from scipy.stats import ks_2samp
 
 import goldenstop as g
+from goldenstop import simulate
 
 LAM3 = g.bessel_lambda(3.0)
 INV_PHI = 2.0 / (1.0 + math.sqrt(5.0))
@@ -216,3 +219,32 @@ def test_transformed_samples_truncation_count():
                                                seed=3, step=1e-2, horizon=0.25)
     assert z.size + n_trunc == 50
     assert n_trunc > 25
+
+
+def test_direct_sampler_sharded_equals_serial(monkeypatch):
+    monkeypatch.setattr(simulate, "_MIN_SHARD_PATHS", 16)
+    cev = g.CevModel(d=3.0, c_sigma=1.0)
+    out = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        with pytest.warns(UserWarning, match="hit the horizon"):
+            out.append(g.direct_stopped_samples(cev, 1.0, 2.0, n_paths=50, seed=21,
+                                                step=1e-2, horizon=0.3))
+    (za, na), (zb, nb) = out
+    assert np.array_equal(za, zb) and na == nb and 0 < na < 50
+
+
+def test_direct_sampler_excludes_exploded_prices():
+    """At this seed the Euler price of path 3664 overflows at t = 0.288 (it
+    used to enter the sample as +inf); it is excluded, with a warning that
+    names it, and numpy stays quiet."""
+    cev = g.CevModel(d=3.0, c_sigma=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        z, n_trunc = g.direct_stopped_samples(cev, 1.0, LAM3, n_paths=3665,
+                                              seed=4_295_967_300, step=1e-3, horizon=30.0)
+    assert [w.category for w in caught] == [UserWarning]
+    msg = str(caught[0].message)
+    assert "excluding 1 " in msg and "path 3664 at t=0.288" in msg and "reduce step" in msg
+    assert n_trunc == 0 and z.size == 3664 and np.all(np.isfinite(z))

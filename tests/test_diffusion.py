@@ -161,6 +161,21 @@ def test_coefficient_pipeline_matches_closed_form():
     assert abs(pb - pb_ref) < 1e-6
 
 
+def test_coefficient_scale_is_elementwise():
+    """A point's scale value does not depend on the points evaluated with it
+    (the engine evaluates whole blocks; a replayed path evaluates one lane)."""
+    ref = g.make_bessel_model(3.0)
+    m = g.model_from_coefficients(lambda x: 1.0 / x, lambda x: 1.0)
+    xs = np.geomspace(0.01, 50.0, 5000)
+    np.random.default_rng(0).shuffle(xs)
+    for f in (m.scale, m.scale_deriv):
+        batch = f(xs)
+        assert np.array_equal(batch, [f(float(x)) for x in xs])
+        assert np.array_equal(batch, np.concatenate([f(xs[k:k + 7]) for k in range(0, 5000, 7)]))
+    # the tail above x_max = 1e6 is cut off: relative error about x / x_max
+    assert np.max(np.abs(m.scale(xs) / ref.scale(xs) - 1.0)) < 1e-4
+
+
 def test_csv_model_loader(tmp_path):
     d = 3.0
     xs = np.geomspace(0.05, 100.0, 400)

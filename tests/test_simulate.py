@@ -8,14 +8,18 @@ full-size runs exercised by the acceptance suite.
 """
 
 import math
+import os
+import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import gammaincinv, ndtri
 
 import goldenstop as g
-from goldenstop.simulate import _DipProbe, simulate_rules
+from goldenstop import simulate
+from goldenstop.simulate import _DipProbe, _shards, simulate_rules
 
 _U_FLOOR = 2.0 ** -53
 LAM3 = g.bessel_lambda(3.0)
@@ -478,3 +482,128 @@ def test_future_min_probability_reduced_scale():
     assert est.extra["truncation_bias"] > 0.0
     with pytest.raises(g.DomainError):
         g.estimate_future_min_prob(model, 1.0, 1.5, n_paths=10, seed=1)
+
+
+def test_gamma_stream_built_on_first_use():
+    st = g.make_path_stream(5, 3)
+    assert "gamma" not in vars(st)
+    ref = np.random.Generator(np.random.Philox(key=np.array([5, 7], dtype=np.uint64)))
+    assert np.array_equal(st.gamma.random(4), ref.random(4))
+    assert st.gamma is st.gamma
+
+
+# ---------------------------------------------------------------------------
+# path-index shards
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture(scope="module")
+def custom3():
+    """The 3-d Bessel process rebuilt from its coefficients (numeric scale)."""
+    m3 = g.make_bessel_model(3.0)
+    return g.model_from_coefficients(m3.drift, m3.volatility)
+
+
+def test_shard_plan():
+    assert _shards(16384, 1) == [(0, 16384)]
+    assert _shards(16384, 2) == [(0, 8192), (8192, 16384)]
+    assert _shards(16384, 64) == [(k * 1024, (k + 1) * 1024) for k in range(16)]
+    assert _shards(2047, 2) == [(0, 2047)]
+    assert _shards(5, 64) == [(0, 5)]
+    for n, cpus in ((2048, 2), (50_000, 2), (3001, 64), (7, 1)):
+        plan = _shards(n, cpus)
+        assert plan[0][0] == 0 and plan[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(plan, plan[1:]))
+        assert len(plan) == 1 or min(hi - lo for lo, hi in plan) >= 1024
+
+
+def test_sharded_merges_by_path_index_and_reraises_lowest_shard(monkeypatch):
+    monkeypatch.setattr(simulate, "_MIN_SHARD_PATHS", 16)
+    _cpus(monkeypatch, 3)
+
+    def run(lo, hi):
+        return SimpleNamespace(index=np.arange(lo, hi), pid=np.full(hi - lo, os.getpid()),
+                               width=hi - lo, tag="shard")
+
+    out = simulate._sharded(run, 50)
+    assert np.array_equal(out.index, np.arange(50)) and out.width == 50 and out.tag == "shard"
+    assert np.all(out.pid[:16] == os.getpid()) and np.all(out.pid[16:] != os.getpid())
+
+    def failing(lo, hi):
+        if lo:
+            raise g.SchemeError(f"shard at {lo}")
+        return run(lo, hi)
+
+    with pytest.raises(g.SchemeError, match="shard at 16"):
+        simulate._sharded(failing, 50)
+
+
+def test_no_fork_start_method_runs_serially(monkeypatch):
+    import concurrent.futures
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # a pool would fail
+    _cpus(monkeypatch, 2)
+    calls = []
+    out = simulate._sharded(
+        lambda lo, hi: calls.append((lo, hi, os.getpid())) or SimpleNamespace(v=np.arange(lo, hi)),
+        4096)
+    assert calls == [(0, 4096, os.getpid())] and out.v.size == 4096
+
+
+def test_no_workers_forked_while_other_threads_run(monkeypatch):
+    _cpus(monkeypatch, 2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, daemon=True)
+    other.start()
+    try:
+        out = simulate._sharded(lambda lo, hi: SimpleNamespace(pid=np.full(hi - lo, os.getpid())),
+                                4096)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive() and np.all(out.pid == os.getpid())
+
+
+def test_sharded_pass_equals_serial(monkeypatch, custom3):
+    """Three uneven shards over 50 paths give the serial pass bit for bit."""
+    monkeypatch.setattr(simulate, "_MIN_SHARD_PATHS", 16)
+    assert _shards(50, 3) == [(0, 16), (16, 33), (33, 50)]
+    model = g.make_bessel_model(3.0)
+    R = g.StoppingRule
+    golden = R.ratio_rule(LAM3)
+    pchip = g.minimal_boundary(model, 0.5, 2.0)
+    cases = [
+        (model, 1.0, [golden, R.ratio_rule(2.0)], {}),
+        (model, 0.4, [golden], dict(bridge=False)),
+        (model, 0.4, [golden, R.fixed_time_rule(0.5)], dict(scheme="exact")),
+        (model, 1.0, [R.boundary_rule(pchip)], {}),
+        (model, 2.0, [_DipProbe(level=1.0)], {}),
+        (model, 1.0, [R.fixed_time_rule(0.0), R.fixed_time_rule(0.25)], {}),
+        (model, 1.0, [R.ratio_rule(4.0)], dict(horizon=0.25)),
+        (custom3, 3.0, [golden], dict(step=2e-3, horizon=0.5)),
+    ]
+    for model_, x0, rules, extra in cases:
+        kw = dict(seed=19, step=1e-2, horizon=3.0) | extra
+        _cpus(monkeypatch, 1)
+        serial = simulate_rules(model_, x0, rules, 50, **kw)
+        _cpus(monkeypatch, 3)
+        sharded = simulate_rules(model_, x0, rules, 50, **kw)
+        for name in ("stop_step", "x_stop", "i_stop", "objective", "theta_step", "truncated"):
+            assert np.array_equal(getattr(serial, name), getattr(sharded, name)), name
+        assert sharded.rule_ids == serial.rule_ids
+        if kw["horizon"] == 0.25:
+            assert serial.truncated.any()
+
+
+def test_scheme_error_in_worker_shard_reaches_caller(monkeypatch, custom3):
+    # at seed 52 Euler fails on paths 19 and 45 only: shards 1 and 2 of 3
+    monkeypatch.setattr(simulate, "_MIN_SHARD_PATHS", 16)
+    _cpus(monkeypatch, 3)
+    with pytest.raises(g.SchemeError, match="path 19 .*reduce step"):
+        simulate_rules(custom3, 0.5, [g.StoppingRule.ratio_rule(LAM3)], 48,
+                       seed=52, step=0.02, horizon=2.0)
