@@ -1,7 +1,9 @@
 """Statistical validation checks shared by the test suite and the CLI.
 
-Each runner performs one Monte Carlo experiment and grades it against the
-closed-form theory at a fixed tolerance, returning CheckResult rows.  The
+Each runner performs the Monte Carlo passes of one experiment (one pass
+wherever the stream contract makes two passes identical: the golden-rule
+group grades its star rows from the sweep's 1+phi row) and grades them
+against the closed-form theory, returning CheckResult rows.  The
 same functions back `goldenstop simulate --check`, so a shipped binary
 can re-certify itself on the target machine.
 
@@ -63,6 +65,80 @@ class CheckResult:
         }
 
 
+# Siegmund's constant -zeta(1/2)/sqrt(2 pi): a crossing monitored on a grid
+# of mesh `step` overshoots the level by beta * sigma * sqrt(step) on average
+_SIEGMUND_BETA = 0.5825971579390107
+# d=3 ratio sweep from x0=1; row _STAR is the golden threshold 1+phi
+_SWEEP, _STAR = (1.8, 2.1, bessel_lambda(3.0), 3.3, 4.0), 2
+
+
+def _golden_pass(ratios, n_paths, seed, step, horizon, bridge):
+    rules = [StoppingRule.ratio_rule(l) for l in ratios]
+    return simulate_rules(
+        make_bessel_model(3.0), 1.0, rules, n_paths, seed=seed, step=step,
+        horizon=horizon, bridge=bridge,
+    )
+
+
+def _grade_star(res, j, step) -> list:
+    """The three golden-rule rows from row j (the 1+phi rule) of a pass."""
+    d, x0, lam = 3.0, 1.0, _SWEEP[_STAR]
+    obj = res.objective[j]
+    mean = float(obj.mean())
+    se = float(obj.std(ddof=1)) / math.sqrt(obj.size)
+    target = bessel_value(d, lam, x0, x0)
+    diff = abs(mean - target)
+    tol = 3.0 * se + 0.01 * abs(target)
+
+    sample = np.sort(res.x_stop[j, ~res.truncated[j]])
+    dist = make_stopped_distribution(d, lam, x0)
+    ks = float(kstest(sample, lambda y: stopped_cdf(dist, y)).statistic)
+
+    # the grid-monitored stop overshoots lam * I by beta sqrt(step) (sigma = 1)
+    m0 = stopped_mean(dist)
+    m_target = m0 + _SIEGMUND_BETA * math.sqrt(step)
+    m_err = abs(float(sample.mean()) - m_target) / m0
+    m_tol = min(3.0 * float(sample.std(ddof=1)) / math.sqrt(sample.size) / m0, 0.01)
+    return [
+        CheckResult(
+            "objective-vs-prediction", diff, tol, diff <= tol,
+            f"estimate {mean:.6f} (se {se:.2g}) vs closed form {target:.6f}; |diff| <= 3 se + 1%",
+        ),
+        CheckResult(
+            "stopped-law-ks", ks, 0.02, ks <= 0.02,
+            f"KS of {sample.size} stopped states vs the exponent-{dist.p:.6f} power law",
+        ),
+        CheckResult(
+            "stopped-mean", m_err, m_tol, m_err <= m_tol,
+            f"|mean stopped state - (phi*x0 + beta sqrt(step) = {m_target:.6f})| / phi*x0",
+        ),
+    ]
+
+
+def _grade_sweep(res, star) -> list:
+    """Paired z-scores of every other sweep row of a pass against row star."""
+    obj = res.objective
+    zmin, worst = math.inf, ""
+    for j, l in enumerate(_SWEEP):
+        if j == star:
+            continue
+        dvec = obj[j] - obj[star]
+        dmean = float(dvec.mean())
+        dse = float(dvec.std(ddof=1)) / math.sqrt(dvec.size)
+        z = dmean / dse
+        if z < zmin:
+            zmin, worst = z, f"ratio {l:g}: gap {dmean:.5f}, paired se {dse:.2g}"
+    return [
+        CheckResult(
+            name="sweep-optimality",
+            value=zmin,
+            tolerance=2.0,
+            passed=zmin >= 2.0,
+            detail=f"min paired z-score across off-optimal ratios (>= 2 required); worst {worst}",
+        )
+    ]
+
+
 def golden_rule_star_checks(
     n_paths: int = 50_000,
     seed: int = 42,
@@ -78,63 +154,12 @@ def golden_rule_star_checks(
       a 1% discretisation allowance of the closed-form value;
     - stopped-law-ks: KS distance of the stopped sample to the power law
       at most 0.02;
-    - stopped-mean: empirical mean of the stopped state within 1% of
-      phi * x0.
+    - stopped-mean: empirical mean of the stopped state within
+      min(3 SE, 1%) of phi * x0 plus the mean grid overshoot
+      beta * sqrt(step), relative to phi * x0.
     """
-    d, x0 = 3.0, 1.0
-    model = make_bessel_model(d)
-    lam = bessel_lambda(d)
-    res = simulate_rules(
-        model, x0, [StoppingRule.ratio_rule(lam)], n_paths,
-        seed=seed, step=step, horizon=horizon, bridge=bridge,
-    )
-    obj = res.objective[0]
-    mean = float(obj.mean())
-    se = float(obj.std(ddof=1)) / math.sqrt(n_paths)
-
-    out = []
-    target = bessel_value(d, lam, x0, x0)
-    diff = abs(mean - target)
-    tol = 3.0 * se + 0.01 * abs(target)
-    out.append(
-        CheckResult(
-            name="objective-vs-prediction",
-            value=diff,
-            tolerance=tol,
-            passed=diff <= tol,
-            detail=(
-                f"estimate {mean:.6f} (se {se:.2g}) vs "
-                f"closed form {target:.6f}; |diff| <= 3 se + 1%"
-            ),
-        )
-    )
-
-    ok = ~res.truncated[0]
-    sample = np.sort(res.x_stop[0, ok])
-    dist = make_stopped_distribution(d, lam, x0)
-    ks = float(kstest(sample, lambda y: stopped_cdf(dist, y)).statistic)
-    out.append(
-        CheckResult(
-            name="stopped-law-ks",
-            value=ks,
-            tolerance=0.02,
-            passed=ks <= 0.02,
-            detail=f"KS of {sample.size} stopped states vs the exponent-{dist.p:.6f} power law",
-        )
-    )
-
-    m_target = stopped_mean(dist)
-    m_err = abs(float(sample.mean()) - m_target) / m_target
-    out.append(
-        CheckResult(
-            name="stopped-mean",
-            value=m_err,
-            tolerance=0.01,
-            passed=m_err <= 0.01,
-            detail=f"relative error of mean stopped state vs phi*x0 = {m_target:.6f}",
-        )
-    )
-    return out
+    res = _golden_pass([_SWEEP[_STAR]], n_paths, seed, step, horizon, bridge)
+    return _grade_star(res, 0, step)
 
 
 def golden_rule_sweep_checks(
@@ -151,36 +176,7 @@ def golden_rule_sweep_checks(
     paired standard errors (value = worst z-score, must exceed the
     tolerance).
     """
-    d, x0 = 3.0, 1.0
-    model = make_bessel_model(d)
-    lam = bessel_lambda(d)
-    sweep = [1.8, 2.1, lam, 3.3, 4.0]
-    star = 2
-    rules = [StoppingRule.ratio_rule(l) for l in sweep]
-    res = simulate_rules(
-        model, x0, rules, n_paths, seed=seed, step=step, horizon=horizon,
-        bridge=bridge,
-    )
-    obj = res.objective
-    zmin, worst = math.inf, ""
-    for j, l in enumerate(sweep):
-        if j == star:
-            continue
-        dvec = obj[j] - obj[star]
-        dmean = float(dvec.mean())
-        dse = float(dvec.std(ddof=1)) / math.sqrt(n_paths)
-        z = dmean / dse
-        if z < zmin:
-            zmin, worst = z, f"ratio {l:g}: gap {dmean:.5f}, paired se {dse:.2g}"
-    return [
-        CheckResult(
-            name="sweep-optimality",
-            value=zmin,
-            tolerance=2.0,
-            passed=zmin >= 2.0,
-            detail=f"min paired z-score across off-optimal ratios (>= 2 required); worst {worst}",
-        )
-    ]
+    return _grade_sweep(_golden_pass(_SWEEP, n_paths, seed, step, horizon, bridge), _STAR)
 
 
 def golden_rule_checks(
@@ -190,9 +186,20 @@ def golden_rule_checks(
     horizon: float = 50.0,
     bridge: bool = True,
 ) -> list:
-    """Star-rule rows plus the sweep row; two passes on the same paths."""
-    kw = dict(n_paths=n_paths, seed=seed, step=step, horizon=horizon, bridge=bridge)
-    return golden_rule_star_checks(**kw) + golden_rule_sweep_checks(**kw)
+    """Star-rule rows plus the sweep row from one sweep pass.
+
+    By the stream contract the sweep's 1+phi row is bit-identical to the
+    star pass, so its rows equal those of `golden_rule_star_checks`
+    followed by `golden_rule_sweep_checks` on the same arguments.
+    """
+    res = _golden_pass(_SWEEP, n_paths, seed, step, horizon, bridge)
+    return _grade_star(res, _STAR, step) + _grade_sweep(res, _STAR)
+
+
+# discretisation allowance of the completed dip estimate at step 1e-3: its
+# bias measured there is -0.001 +- 0.001 at d=3 and d=4, inside 0.005 at
+# 3 se (the reduced-scale unit test allows 0.015)
+_DIP_ALLOWANCE = 0.005
 
 
 def future_min_checks(
@@ -203,10 +210,11 @@ def future_min_checks(
 ) -> list:
     """P(dip below 1 from x0=2) vs the scale-ratio law at d=3 and d=4.
 
-    The exact values are 1/2 and 1/4; the estimate must match within
-    3 binomial standard errors plus the reported truncation bias (the
-    averaged conditional dip probability of the paths still above the
-    level at the horizon, an unbiased completion of the estimate).
+    The exact values are 1/2 and 1/4.  The dip frequency p_hat misses the
+    paths still above the level at the horizon; adding the truncation
+    bias (their averaged conditional dip probability) completes it without
+    bias, so |p_hat + bias - exact| must stay within 3 binomial standard
+    errors plus a discretisation allowance of 0.005.
     """
     out = []
     for d, target in ((3.0, 0.5), (4.0, 0.25)):
@@ -216,8 +224,8 @@ def future_min_checks(
             horizon=horizon,
         )
         bias = est.extra["truncation_bias"]
-        diff = abs(est.mean - target)
-        tol = 3.0 * est.std_error + bias
+        diff = abs(est.mean + bias - target)
+        tol = 3.0 * est.std_error + _DIP_ALLOWANCE
         out.append(
             CheckResult(
                 name=f"future-min-d{d:g}",

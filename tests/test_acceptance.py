@@ -20,8 +20,7 @@ import goldenstop as g
 from goldenstop.checks import (
     cev_checks,
     future_min_checks,
-    golden_rule_star_checks,
-    golden_rule_sweep_checks,
+    golden_rule_checks,
 )
 
 GOLD = (1.0 + math.sqrt(5.0)) / 2.0
@@ -36,16 +35,9 @@ def report(capsys):
 
 
 @pytest.fixture(scope="module")
-def star_pass():
+def golden_pass():
     t0 = time.perf_counter()
-    rows = {r.name: r for r in golden_rule_star_checks()}
-    return rows, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def sweep_pass():
-    t0 = time.perf_counter()
-    rows = {r.name: r for r in golden_rule_sweep_checks()}
+    rows = {r.name: r for r in golden_rule_checks()}
     return rows, time.perf_counter() - t0
 
 
@@ -159,8 +151,8 @@ def test_criterion_05(report):
     assert ok
 
 
-def test_criterion_06(star_pass, report):
-    rows, dt = star_pass
+def test_criterion_06(golden_pass, report):
+    rows, dt = golden_pass
     r = rows["objective-vs-prediction"]
     ok = r.passed and dt < 120.0
     report(6, ok, "simulated objective of the optimal rule matches the predicted value",
@@ -168,8 +160,8 @@ def test_criterion_06(star_pass, report):
     assert ok
 
 
-def test_criterion_07(sweep_pass, report):
-    rows, dt = sweep_pass
+def test_criterion_07(golden_pass, report):
+    rows, dt = golden_pass
     r = rows["sweep-optimality"]
     ok = r.passed and dt < 300.0
     report(7, ok, "optimal rule beats every off-optimal threshold, paired CRN",
@@ -177,8 +169,8 @@ def test_criterion_07(sweep_pass, report):
     assert ok
 
 
-def test_criterion_08(star_pass, report):
-    rows, dt = star_pass
+def test_criterion_08(golden_pass, report):
+    rows, dt = golden_pass
     ks = rows["stopped-law-ks"]
     mn = rows["stopped-mean"]
     ok = ks.passed and mn.passed and dt < 120.0

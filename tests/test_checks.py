@@ -1,0 +1,98 @@
+"""Check groups: pass counts, the merged golden-rule pass, grader forms."""
+
+import math
+
+import numpy as np
+import pytest
+
+import goldenstop as g
+from goldenstop import cev, checks, simulate
+from goldenstop.simulate import BatchResult, MonteCarloEstimate
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_golden_rule_checks_equal_star_then_sweep(seed, monkeypatch):
+    passes = []  # rules per engine pass
+
+    def counting(model, x0, rules, *args, **kwargs):
+        passes.append(len(rules))
+        return simulate.simulate_rules(model, x0, rules, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "simulate_rules", counting)
+    kw = dict(n_paths=300, seed=seed, step=1e-2)
+    merged = [r.row() for r in checks.golden_rule_checks(**kw)]
+    assert passes == [5]
+    apart = [r.row() for r in checks.golden_rule_star_checks(**kw)
+             + checks.golden_rule_sweep_checks(**kw)]
+    assert passes == [5, 1, 5]
+    assert [r["name"] for r in merged] == [
+        "objective-vs-prediction", "stopped-law-ks", "stopped-mean", "sweep-optimality"]
+    assert merged == apart
+
+
+def test_engine_passes_per_check_group(monkeypatch):
+    # one Monte Carlo pass per certification group wherever the stream
+    # contract makes two passes identical; a split pass shows up here
+    calls = []
+    original = simulate._sharded
+
+    def counting(run, n_paths):
+        calls.append(n_paths)
+        return original(run, n_paths)
+
+    monkeypatch.setattr(simulate, "_sharded", counting)
+    monkeypatch.setattr(cev, "_sharded", counting)
+    counts = {}
+    for group in checks.CHECK_GROUPS:
+        calls.clear()
+        checks.run_checks([group], n_paths=64, seed=5, step=1e-2)
+        counts[group] = len(calls)
+    assert counts == {"golden-rule": 1, "future-min": 2, "cev": 3}
+
+
+def _stopped_mean_row(x_stop, step):
+    res = BatchResult(1, x_stop.size)
+    res.x_stop[0] = x_stop
+    return next(r for r in checks._grade_star(res, 0, step) if r.name == "stopped-mean")
+
+
+def test_stopped_mean_grades_the_overshoot_corrected_mean():
+    step, n = 1e-3, 50_000
+    dist = g.make_stopped_distribution(3.0, g.bessel_lambda(3.0), 1.0)
+    exact = g.stopped_quantile(dist, (np.arange(n) + 0.5) / n)
+    overshoot = 0.5825971579390107 * math.sqrt(step)
+    m0 = g.stopped_mean(dist)  # phi * x0
+
+    row = _stopped_mean_row(exact + overshoot, step)
+    assert row.passed and row.value < 1e-4
+    assert row.tolerance == pytest.approx(3 * exact.std(ddof=1) / math.sqrt(n) / m0, rel=1e-9)
+    # a mean off by 1% of phi * x0 fails, either way from the corrected target
+    assert not _stopped_mean_row(exact + overshoot + 0.01 * m0, step).passed
+    assert not _stopped_mean_row(exact + overshoot - 0.01 * m0, step).passed
+    # the continuous-monitoring mean misses the grid overshoot (1.14% here)
+    assert not _stopped_mean_row(exact, step).passed
+    # the band never exceeds the flat 1% it replaced
+    assert _stopped_mean_row(exact[::250], step).tolerance == 0.01
+
+
+def _fake_dip(p_hat, bias, se):
+    def estimate(model, x0, level, n_paths, seed, step, horizon):
+        return MonteCarloEstimate(mean=p_hat, std_error=se, n_paths=n_paths, seed=seed,
+                                  step=step, rule_id="dip", horizon=horizon,
+                                  extra={"truncation_bias": bias})
+    return estimate
+
+
+def test_future_min_grades_the_completed_estimate(monkeypatch):
+    se, bias = 0.0035, 0.088
+    # unbiased completion: p_hat + bias hits both targets
+    monkeypatch.setattr(checks, "estimate_future_min_prob", _fake_dip(0.5 - bias, bias, se))
+    r3, _ = checks.future_min_checks()
+    assert r3.passed and r3.value == pytest.approx(0.0, abs=1e-12)
+    assert r3.tolerance <= 3 * se + 0.015
+    assert "p_hat 0.4120 + bias 0.0880" in r3.detail and "se 0.0035" in r3.detail
+    # p_hat itself on target leaves the completion a whole bias too high;
+    # the former |p_hat - target| <= 3 se + bias form accepted this
+    monkeypatch.setattr(checks, "estimate_future_min_prob", _fake_dip(0.5, bias, se))
+    r3, _ = checks.future_min_checks()
+    assert not r3.passed and r3.value == pytest.approx(bias)
