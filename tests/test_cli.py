@@ -105,6 +105,31 @@ def test_boundary_ray_csv_exact_text():
     )
 
 
+def test_boundary_shooting_csv_exact_text():
+    res = CliRunner().invoke(main, ["boundary", "--dim", "3", "--grid", "17", "--shots", "4"])
+    assert res.exit_code == 0
+    assert res.output == (
+        "i,f,h,f_over_i\n"
+        "0.5,1.3090169943737191,1,2.6180339887474382\n"
+        "0.54525386633262884,1.4274931545548193,1.0905077326652577,2.6180339887475199\n"
+        "0.59460355750136051,1.5566923233686512,1.189207115002721,2.6180339887473498\n"
+        "0.64841977732550482,1.6975850160141748,1.2968395546510096,2.6180339887473729\n"
+        "0.70710678118654757,1.8512295868205455,1.4142135623730951,2.6180339887479565\n"
+        "0.77110541270397037,2.0187801793669773,1.5422108254079407,2.6180339887485564\n"
+        "0.8408964152537145,2.201495396151457,1.6817928305074292,2.6180339887490467\n"
+        "0.91700404320467122,2.4007477529304819,1.8340080864093424,2.6180339887494322\n"
+        "1,2.6180339887497164,2,2.6180339887497164\n"
+        "1.0905077326652577,2.8549863091122401,2.1810154653305154,2.6180339887499056\n"
+        "1.189207115002721,3.113384646740462,2.3784142300054421,2.6180339887500068\n"
+        "1.2968395546510096,3.3951700320317961,2.5936791093020193,2.6180339887500308\n"
+        "1.4142135623730949,3.7024591736439665,2.8284271247461898,2.6180339887499899\n"
+        "1.5422108254079407,4.0375603587360338,3.0844216508158815,2.6180339887499047\n"
+        "1.681792830507429,4.402990792304184,3.3635856610148585,2.6180339887498021\n"
+        "1.8340080864093424,4.801495505861495,3.6680161728186849,2.6180339887497217\n"
+        "2,5.2360679774994345,4,2.6180339887497173\n"
+    )
+
+
 def test_lambda_json_exact_text():
     res = CliRunner().invoke(main, ["--format", "json", "lambda", "-d", "5"])
     assert res.exit_code == 0
