@@ -97,12 +97,12 @@ def bessel_characteristic_derivative(d: float, lam) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def bessel_lambda(d: float, rtol: float = 1e-12) -> float:
+def bessel_lambda(d: float) -> float:
     """Optimal stopping ratio lam(d): root of F above 2^(1/(d-2)).
 
     Bracket by doubling, then Newton with bisection fallback whenever an
-    iterate leaves the bracket.  At d = 3 returns (3+sqrt5)/2 to full
-    precision.
+    iterate leaves the bracket, until a step moves the iterate by at most
+    1e-12 relative.  At d = 3 returns (3+sqrt5)/2 to full precision.
     """
     d = _check_dim(d)
     lo = 2.0 ** (1.0 / (d - 2.0)) * (1.0 + 1e-9)
@@ -128,17 +128,17 @@ def bessel_lambda(d: float, rtol: float = 1e-12) -> float:
         x_new = x - step
         if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= rtol * x_new:
+        if abs(x_new - x) <= 1e-12 * x_new:
             return x_new
         x = x_new
     raise NumericalError(f"optimal-ratio iteration did not converge for d={d}")
 
 
-def bessel_lambda_bisect(d: float, tol: float = 1e-13) -> float:
+def bessel_lambda_bisect(d: float) -> float:
     """Pure-bisection root of the characteristic; slow, independent route.
 
-    Kept as a second code path for validating `bessel_lambda` (no shared
-    iteration logic).
+    Halves the bracket down to a relative width of 1e-13.  Kept as a second
+    code path for validating `bessel_lambda` (no shared iteration logic).
     """
     d = _check_dim(d)
     lo = 2.0 ** (1.0 / (d - 2.0)) * (1.0 + 1e-9)
@@ -147,7 +147,7 @@ def bessel_lambda_bisect(d: float, tol: float = 1e-13) -> float:
         hi *= 2.0
         if hi > 1e9:  # pragma: no cover
             raise NumericalError("bisection bracket ran away")
-    while hi - lo > tol * hi:
+    while hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
         if bessel_characteristic(d, mid) > 0.0:
             hi = mid

@@ -35,7 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -75,6 +75,10 @@ C_HANDOFF = 0.05
 DIVERGENCE_FACTOR = 1e6
 # |c| below this is treated as sitting on the singular curve
 SINGULAR_C_TOL = 1e-12
+# two successive shots this close in relative sup-norm end the shot limit
+SHOT_REL_TOL = 1e-6
+# finite-difference steps of the residuals are this multiple of 1 + coordinate
+DELTA_SCALE = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,30 +373,24 @@ def minimal_boundary(
     i_min: float,
     i_max: float,
     n_grid: int = 129,
-    shot_starts: Optional[Sequence[float]] = None,
-    rel_tol: float = 1e-6,
+    n_shots: int = 6,
 ) -> Boundary:
     """Minimal solution of the boundary ODE over [i_min, i_max] by shot limit.
 
-    Shots start on the sign-change curve at abscissae pushed toward 0
-    (default i_min * 10^-1 .. 10^-6) and increase monotonically toward the
-    minimal solution; iteration stops once two successive shots agree to
-    ``rel_tol`` in relative sup-norm on the common grid.  All shots
-    diverging raises NoMinimalSolutionError with the blow-up abscissae.
+    Up to ``n_shots`` shots start on the sign-change curve at abscissae
+    i_min * 10^-1, 10^-2, ... pushed toward 0 and increase monotonically
+    toward the minimal solution; iteration stops once two successive shots
+    agree to SHOT_REL_TOL = 1e-6 in relative sup-norm on the common grid.
+    All shots diverging raises NoMinimalSolutionError with the blow-up
+    abscissae.
     """
     if not (0.0 < i_min < i_max):
         raise DomainError(f"need 0 < i_min < i_max, got {i_min}, {i_max}")
     if n_grid < 16:
         raise DomainError(f"need n_grid >= 16, got {n_grid}")
-    if shot_starts is None:
-        shot_starts = [i_min * 10.0 ** (-k) for k in range(1, 7)]
-    starts = [float(s) for s in shot_starts]
-    if not starts:
-        raise DomainError("shot_starts must be nonempty")
-    if any(s >= i_min for s in starts) or any(s <= 0.0 for s in starts):
-        raise DomainError(f"shot starts must lie in (0, i_min), got {starts}")
-    if any(b >= a for a, b in zip(starts, starts[1:])):
-        raise DomainError(f"shot starts must be strictly decreasing, got {starts}")
+    if n_shots < 1:
+        raise DomainError(f"need n_shots >= 1, got {n_shots}")
+    starts = [i_min * 10.0**-k for k in range(1, n_shots + 1)]
 
     grid = np.geomspace(i_min, i_max, n_grid)
     hg = np.asarray(h_curve(model, grid), dtype=float)
@@ -423,7 +421,7 @@ def minimal_boundary(
                     f"(start i={start:g})"
                 )
             gap = float(np.max(np.abs(vals - prev) / vals))
-            if gap < rel_tol:
+            if gap < SHOT_REL_TOL:
                 fg = vals
                 converged = True
                 break
@@ -438,7 +436,7 @@ def minimal_boundary(
         )
     if not converged:
         warnings.warn(
-            f"shot limit not converged to {rel_tol:g} after {n_used} shots; "
+            f"shot limit not converged to {SHOT_REL_TOL:g} after {n_used} shots; "
             "returning the deepest shot",
             stacklevel=2,
         )
@@ -485,8 +483,6 @@ def value_function_numeric(
     boundary: Boundary,
     i: float,
     x: float,
-    epsabs: float = QUAD_EPSABS,
-    epsrel: float = QUAD_EPSREL,
 ) -> float:
     """Expected remaining cost V_f(i, x) of stopping at the given boundary.
 
@@ -498,7 +494,7 @@ def value_function_numeric(
         raise DomainError(f"need 0 < i <= x, got i={i}, x={x}")
     if x >= float(boundary(i)):
         return 0.0
-    return _value_formula(model, boundary, i, x, epsabs, epsrel)
+    return _value_formula(model, boundary, i, x, QUAD_EPSABS, QUAD_EPSREL)
 
 
 def free_boundary_residuals(
@@ -506,7 +502,6 @@ def free_boundary_residuals(
     boundary: Boundary,
     i: float,
     x: float,
-    delta_scale: float = 1e-3,
 ):
     """Central-difference residuals of the three free-boundary conditions.
 
@@ -518,9 +513,9 @@ def free_boundary_residuals(
                          at (i, i), which vanishes for any solution of the
                          boundary ODE.
 
-    Steps are delta_scale * (1 + coordinate).  The quadratures run much
-    tighter than the public default because the second difference divides
-    by delta^2.
+    Steps are DELTA_SCALE * (1 + coordinate) with DELTA_SCALE = 1e-3, so
+    i must exceed 1e-3/(1 - 1e-3).  The quadratures run much tighter than
+    the public default because the second difference divides by delta^2.
     """
     if not (0.0 < i <= x):
         raise DomainError(f"need 0 < i <= x, got i={i}, x={x}")
@@ -533,11 +528,11 @@ def free_boundary_residuals(
         return _value_formula(model, boundary, ii, xx, epsabs, epsrel)
 
     # interior equation in x
-    dx = delta_scale * (1.0 + x)
-    if x - dx <= 0.0 or i - delta_scale * (1.0 + i) <= 0.0:
+    dx = DELTA_SCALE * (1.0 + x)
+    if x - dx <= 0.0 or i - DELTA_SCALE * (1.0 + i) <= 0.0:
         raise DomainError(
-            f"difference step {dx:g} reaches the origin from x={x:g}; "
-            "reduce delta_scale"
+            f"difference steps of {DELTA_SCALE:g} * (1 + coordinate) reach the origin "
+            f"from i={i:g}, x={x:g}; the residuals need i > {DELTA_SCALE / (1 - DELTA_SCALE):.4g}"
         )
     vm, v0, vp = V(i, x - dx), V(i, x), V(i, x + dx)
     v_x = (vp - vm) / (2.0 * dx)
@@ -546,11 +541,11 @@ def free_boundary_residuals(
     pde = float(model.drift(x)) * v_x + 0.5 * float(model.volatility(x)) ** 2 * v_xx + c
 
     # smooth fit at the boundary: true value vanishes beyond f(i)
-    db = delta_scale * (1.0 + f_i)
+    db = DELTA_SCALE * (1.0 + f_i)
     smooth_fit = (0.0 - V(i, f_i - db)) / (2.0 * db)
 
     # reflection along the diagonal: i-derivative at x = i
-    di = delta_scale * (1.0 + i)
+    di = DELTA_SCALE * (1.0 + i)
     normal_reflection = (V(i + di, i) - V(i - di, i)) / (2.0 * di)
 
     return float(pde), float(smooth_fit), float(normal_reflection)

@@ -2,7 +2,8 @@
 
 Each runner performs the Monte Carlo passes of one experiment (one pass
 wherever the stream contract makes two passes identical: the golden-rule
-group grades its star rows from the sweep's 1+phi row) and grades them
+group grades its star rows from the sweep's 1+phi row, the cev group its
+drawdown identity and transformed route from one pass) and grades them
 against the closed-form theory, returning CheckResult rows.  The
 same functions back `goldenstop simulate --check`, so a shipped binary
 can re-certify itself on the target machine.
@@ -29,7 +30,7 @@ from .bessel import (
     stopped_cdf,
     stopped_mean,
 )
-from .cev import CevModel, direct_stopped_samples, transformed_stopped_samples
+from .cev import CevModel, cev_transform, direct_stopped_samples
 from .diffusion import make_bessel_model
 from .errors import CheckFailure, DomainError
 from .simulate import StoppingRule, estimate_future_min_prob, simulate_rules
@@ -72,11 +73,11 @@ _SIEGMUND_BETA = 0.5825971579390107
 _SWEEP, _STAR = (1.8, 2.1, bessel_lambda(3.0), 3.3, 4.0), 2
 
 
-def _golden_pass(ratios, n_paths, seed, step, horizon, bridge):
+def _golden_pass(ratios, n_paths, seed, step, horizon):
     rules = [StoppingRule.ratio_rule(l) for l in ratios]
     return simulate_rules(
         make_bessel_model(3.0), 1.0, rules, n_paths, seed=seed, step=step,
-        horizon=horizon, bridge=bridge,
+        horizon=horizon,
     )
 
 
@@ -90,9 +91,13 @@ def _grade_star(res, j, step) -> list:
     diff = abs(mean - target)
     tol = 3.0 * se + 0.01 * abs(target)
 
-    sample = np.sort(res.x_stop[j, ~res.truncated[j]])
+    ok = ~res.truncated[j]
     dist = make_stopped_distribution(d, lam, x0)
-    ks = float(kstest(sample, lambda y: stopped_cdf(dist, y)).statistic)
+    # lam * I is the continuous stopped state; the grid-monitored x_stop
+    # carries the overshoot that stopped-mean corrects for
+    ks = float(kstest(lam * res.i_stop[j, ok], lambda y: stopped_cdf(dist, y)).statistic)
+
+    sample = np.sort(res.x_stop[j, ok])
 
     # the grid-monitored stop overshoots lam * I by beta sqrt(step) (sigma = 1)
     m0 = stopped_mean(dist)
@@ -106,7 +111,8 @@ def _grade_star(res, j, step) -> list:
         ),
         CheckResult(
             "stopped-law-ks", ks, 0.02, ks <= 0.02,
-            f"KS of {sample.size} stopped states vs the exponent-{dist.p:.6f} power law",
+            f"KS of {sample.size} continuous stopped states lam * I vs the "
+            f"exponent-{dist.p:.6f} power law",
         ),
         CheckResult(
             "stopped-mean", m_err, m_tol, m_err <= m_tol,
@@ -144,7 +150,6 @@ def golden_rule_star_checks(
     seed: int = 42,
     step: float = 1e-4,
     horizon: float = 50.0,
-    bridge: bool = True,
 ) -> list:
     """d=3 rule at the golden threshold from x0=1: level and stopped law.
 
@@ -152,13 +157,14 @@ def golden_rule_star_checks(
 
     - objective-vs-prediction: the Monte Carlo objective within 3 SE plus
       a 1% discretisation allowance of the closed-form value;
-    - stopped-law-ks: KS distance of the stopped sample to the power law
+    - stopped-law-ks: KS distance of the continuous stopped states lam * I
+      (I the bridge-sharpened running minimum at the stop) to the power law
       at most 0.02;
     - stopped-mean: empirical mean of the stopped state within
       min(3 SE, 1%) of phi * x0 plus the mean grid overshoot
       beta * sqrt(step), relative to phi * x0.
     """
-    res = _golden_pass([_SWEEP[_STAR]], n_paths, seed, step, horizon, bridge)
+    res = _golden_pass([_SWEEP[_STAR]], n_paths, seed, step, horizon)
     return _grade_star(res, 0, step)
 
 
@@ -167,7 +173,6 @@ def golden_rule_sweep_checks(
     seed: int = 42,
     step: float = 1e-4,
     horizon: float = 50.0,
-    bridge: bool = True,
 ) -> list:
     """Paired optimality of the golden threshold within a ratio sweep.
 
@@ -176,7 +181,7 @@ def golden_rule_sweep_checks(
     paired standard errors (value = worst z-score, must exceed the
     tolerance).
     """
-    return _grade_sweep(_golden_pass(_SWEEP, n_paths, seed, step, horizon, bridge), _STAR)
+    return _grade_sweep(_golden_pass(_SWEEP, n_paths, seed, step, horizon), _STAR)
 
 
 def golden_rule_checks(
@@ -184,7 +189,6 @@ def golden_rule_checks(
     seed: int = 42,
     step: float = 1e-4,
     horizon: float = 50.0,
-    bridge: bool = True,
 ) -> list:
     """Star-rule rows plus the sweep row from one sweep pass.
 
@@ -192,7 +196,7 @@ def golden_rule_checks(
     star pass, so its rows equal those of `golden_rule_star_checks`
     followed by `golden_rule_sweep_checks` on the same arguments.
     """
-    res = _golden_pass(_SWEEP, n_paths, seed, step, horizon, bridge)
+    res = _golden_pass(_SWEEP, n_paths, seed, step, horizon)
     return _grade_star(res, _STAR, step) + _grade_sweep(res, _STAR)
 
 
@@ -249,13 +253,18 @@ def cev_checks(
 ) -> list:
     """Drawdown-rule consistency between the price and state pictures.
 
-    - drawdown-step-identity: at d=3 the drawdown rule at 1+phi and the
-      ratio rule at 1+phi must make bit-identical decisions on shared
-      paths (the trigger events coincide exactly, not just in law);
-    - cev-two-route-ks: stopped-price samples from the transformed Bessel
-      route and from direct Euler on the price SDE, independently seeded,
-      must agree to two-sample KS <= 0.05.  Both routes monitor extrema
-      on the shared grid (no sub-step correction) so the comparison
+    One Bessel pass from x0 = 1 (price z0 = K(x0) = 1) runs the ratio
+    rule and the drawdown rule at 1+phi side by side, with no sub-step
+    correction:
+
+    - drawdown-step-identity: the two rules must make bit-identical
+      decisions on every path (the trigger events coincide exactly, not
+      just in law);
+    - cev-two-route-ks: the drawdown row's stopped prices (the transformed
+      route, equal by the stream contract to `transformed_stopped_samples`
+      with bridge=False) and those of direct Euler on the price SDE,
+      independently seeded, must agree to two-sample KS <= 0.05.  Both
+      routes monitor extrema on the shared grid, so the comparison
       isolates the transform and the two discretisations.
     """
     d = 3.0
@@ -263,11 +272,10 @@ def cev_checks(
     model = make_bessel_model(d)
     cev = CevModel(d, 1.0)
 
-    n_id = min(n_paths, 2000)
     res = simulate_rules(
         model, 1.0,
         [StoppingRule.ratio_rule(lam), StoppingRule.drawdown_rule(lam)],
-        n_id, seed=seed, step=step, horizon=horizon,
+        n_paths, seed=seed, step=step, horizon=horizon, bridge=False,
     )
     same = (
         np.array_equal(res.stop_step[0], res.stop_step[1])
@@ -282,14 +290,11 @@ def cev_checks(
             value=max_dt,
             tolerance=0.0,
             passed=same,
-            detail=f"max |x_stop difference| over {n_id} shared paths (exact zero required)",
+            detail=f"max |x_stop difference| over {n_paths} shared paths (exact zero required)",
         )
     ]
 
-    za, _ = transformed_stopped_samples(
-        cev, 1.0, lam, n_paths=n_paths, seed=seed, step=step,
-        horizon=horizon, bridge=False,
-    )
+    za = np.sort(cev_transform(cev, res.x_stop[1, ~res.truncated[1]]))
     zb, _ = direct_stopped_samples(
         cev, 1.0, lam, n_paths=n_paths, seed=seed + 1_000_003, step=step,
         horizon=horizon,

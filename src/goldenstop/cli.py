@@ -136,8 +136,7 @@ def _cmd_boundary(fmt, d, i_min, i_max, grid, shots, ray):
     if ray:
         b = line_boundary(model, bessel_lambda(d), i_min, i_max, grid)
     else:
-        starts = [i_min * 10.0**-k for k in range(1, shots + 1)]
-        b = minimal_boundary(model, i_min, i_max, n_grid=grid, shot_starts=starts)
+        b = minimal_boundary(model, i_min, i_max, n_grid=grid, n_shots=shots)
     rows = [
         [_g(i), _g(f), _g(h), _g(f / i)]
         for i, f, h in zip(b.i_grid, b.f_grid, b.h_grid)

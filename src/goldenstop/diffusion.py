@@ -202,8 +202,8 @@ def model_from_scale(
     return model
 
 
-def validate_model(model: DiffusionModel, n_probe: int = 9) -> list:
-    """Spot-check the scale normalisation on a log grid; warn, never raise.
+def validate_model(model: DiffusionModel) -> list:
+    """Spot-check the scale normalisation on a 9-point log grid; warn, never raise.
 
     Returns the list of warning messages (empty when everything looks
     consistent with a transient model normalised to L(inf) = 0).
@@ -212,7 +212,7 @@ def validate_model(model: DiffusionModel, n_probe: int = 9) -> list:
     lo, hi = model.domain
     lo_p = max(lo, 1e-12) if lo <= 0 else lo
     hi_p = hi if math.isfinite(hi) else 1e6
-    xs = np.geomspace(lo_p * (1 + 1e-9), hi_p * (1 - 1e-9), n_probe)
+    xs = np.geomspace(lo_p * (1 + 1e-9), hi_p * (1 - 1e-9), 9)
     try:
         Ls = np.asarray(model.scale(xs), dtype=float)
     except Exception as exc:  # pragma: no cover - defensive
@@ -237,7 +237,7 @@ def validate_model(model: DiffusionModel, n_probe: int = 9) -> list:
             "the entrance behaviour looks non-singular"
         )
     if model.scale_inverse is not None:
-        x_probe = xs[n_probe // 2]
+        x_probe = xs[xs.size // 2]
         back = float(model.scale_inverse(model.scale(x_probe)))
         if not math.isclose(back, float(x_probe), rel_tol=1e-8):
             msgs.append(f"scale_inverse(scale(x)) != x at x={x_probe:g} (got {back:g})")
@@ -276,8 +276,6 @@ def model_from_coefficients(
     x_min: Optional[float] = None,
     x_max: Optional[float] = None,
     label: str = "custom",
-    rtol: float = 1e-10,
-    atol: float = 1e-13,
 ) -> DiffusionModel:
     """Build a model from coefficient functions by integrating the scale ODE.
 
@@ -308,9 +306,9 @@ def model_from_coefficients(
         return [2.0 * drift(x) / volatility(x) ** 2 * x]
 
     sol_up = solve_ivp(e_rhs, (t_ref, t_max), [0.0], dense_output=True,
-                       rtol=rtol, atol=atol, method="RK45")
+                       rtol=1e-10, atol=1e-13, method="RK45")
     sol_dn = solve_ivp(e_rhs, (t_ref, t_min), [0.0], dense_output=True,
-                       rtol=rtol, atol=atol, method="RK45")
+                       rtol=1e-10, atol=1e-13, method="RK45")
     if not (sol_up.success and sol_dn.success):
         raise NumericalError(
             f"scale exponent integration failed: {sol_up.message} / {sol_dn.message}"
@@ -322,7 +320,7 @@ def model_from_coefficients(
         return [-math.exp(-float(e_of_t(t))) * math.exp(t)]
 
     sol_tail = solve_ivp(tail_rhs, (t_max, t_min), [0.0], dense_output=True,
-                         rtol=rtol, atol=atol, method="RK45")
+                         rtol=1e-10, atol=1e-13, method="RK45")
     if not sol_tail.success:
         raise NumericalError(f"scale tail integration failed: {sol_tail.message}")
     tail = _pointwise(sol_tail.sol)
@@ -510,8 +508,6 @@ def expected_exit_integral(
     a: float,
     x: float,
     b: float,
-    epsabs: float = QUAD_EPSABS,
-    epsrel: float = QUAD_EPSREL,
 ):
     """E_x int_0^{tau_{a,b}} f(X_t) dt via the Green kernel.
 
@@ -537,11 +533,11 @@ def expected_exit_integral(
     total = 0.0
     err = 0.0
     if x > a:
-        v, e = quad(left, a, x, epsabs=epsabs, epsrel=epsrel, limit=200)
+        v, e = quad(left, a, x, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
         total += v
         err += e
     if x < b:
-        v, e = quad(right, x, b, epsabs=epsabs, epsrel=epsrel, limit=200)
+        v, e = quad(right, x, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
         total += v
         err += e
     if not math.isfinite(total):

@@ -20,14 +20,14 @@ reproduces path k of a batch run exactly.
 
 Lanes
 -----
-The engine runs paths on ``chunk_paths`` lanes in blocks of
-``block_steps`` steps.  Inside a block a lane only advances its state; the
-first trigger of every pending rule is then found over the block's
+The engine runs paths on up to _LANE_WIDTH = 8,192 lanes in blocks of
+_BLOCK_STEPS = 256 steps.  Inside a block a lane only advances its state;
+the first trigger of every pending rule is then found over the block's
 history at once.  At each block boundary the lanes whose rules have all
 fired, or that reached the horizon, retire and the next path indices take
 their places, each lane keeping its own step offset.  A run therefore has
-one straggler tail, and by the contract above neither knob changes any
-result.
+one straggler tail, and by the contract above neither constant changes
+any result.
 
 Shards
 ------
@@ -310,6 +310,9 @@ class BatchResult:
 
 # a narrower shard costs more in fork round trip and straggler tail than it saves
 _MIN_SHARD_PATHS = 1024
+# lanes stepped side by side, and steps per block between lane refills
+_LANE_WIDTH = 8192
+_BLOCK_STEPS = 256
 
 
 def _shards(n_paths, cpus):
@@ -360,18 +363,18 @@ def _sharded(run, n_paths):
     return out
 
 
-def _lane_blocks(seed, lo, hi, n_max, init, width=8192, block=256):
+def _lane_blocks(seed, lo, hi, n_max, init):
     """Admit/fill/retire iterator behind every path-advancing loop.
 
-    Up to ``width`` lanes run the paths [lo, hi) side by side.  A lane is one
-    path: its index, streams, step offset and state arrays (one per name in
-    ``init``, lane axis last, admitted at the ``init`` value).  Each yield is
-    one block of ``steps`` steps with its draws made: ``z`` and ``u`` are
-    (steps, lanes) arrays of each step's normal increment and floored bridge
-    uniform, and ``t`` the step index each row reaches.  The caller advances
-    ``state`` and marks ``done`` the lanes it has finished; at the next
-    boundary those and the lanes that reached ``n_max`` retire and new paths
-    take their places.
+    Up to ``_LANE_WIDTH`` lanes run the paths [lo, hi) side by side.  A lane
+    is one path: its index, streams, step offset and state arrays (one per
+    name in ``init``, lane axis last, admitted at the ``init`` value).  Each
+    yield is one block of ``steps`` <= ``_BLOCK_STEPS`` steps with its draws
+    made: ``z`` and ``u`` are (steps, lanes) arrays of each step's normal
+    increment and floored bridge uniform, and ``t`` the step index each row
+    reaches.  The caller advances ``state`` and marks ``done`` the lanes it
+    has finished; at the next boundary those and the lanes that reached
+    ``n_max`` retire and new paths take their places.
     """
     col = {k: np.asarray(v)[..., None] for k, v in init.items()}
     ln = SimpleNamespace(index=np.zeros(0, dtype=np.int64), offset=np.zeros(0, dtype=np.int64),
@@ -380,7 +383,7 @@ def _lane_blocks(seed, lo, hi, n_max, init, width=8192, block=256):
     admitted = lo
     while True:
         keep = ~ln.done & (ln.offset < n_max)
-        first, admitted = admitted, min(admitted + width - int(keep.sum()), hi)
+        first, admitted = admitted, min(admitted + _LANE_WIDTH - int(keep.sum()), hi)
         new = np.arange(first, admitted)
         ln.streams = [s for s, kp in zip(ln.streams, keep) if kp] + [
             make_path_stream(seed, p) for p in new]
@@ -392,7 +395,7 @@ def _lane_blocks(seed, lo, hi, n_max, init, width=8192, block=256):
         if m == 0:
             return
         # no lane steps past n_max: the block ends where the oldest lane's run does
-        ln.steps = B = min(block, n_max - int(ln.offset.max()))
+        ln.steps = B = min(_BLOCK_STEPS, n_max - int(ln.offset.max()))
         ln.z = ln.u = ln.t = None
         U = np.empty((m, 2 * B))
         for r, st in enumerate(ln.streams):
@@ -413,8 +416,7 @@ def _first_true(hit):
     return cols, first[cols]
 
 
-def _engine(model, x0, rules, seed, step, horizon, scheme, bridge,
-            chunk_paths=8192, block_steps=256):
+def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
     """Check one pass's arguments; return ``run(lo, hi)``, which advances
     the paths [lo, hi) and returns their BatchResult, ``hi - lo`` wide."""
     if not (x0 > 0.0 and math.isfinite(x0)):
@@ -423,8 +425,6 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge,
         raise DomainError(f"need step > 0, got {step}")
     if not (horizon > 0.0):
         raise DomainError(f"need horizon > 0, got {horizon}")
-    if chunk_paths < 1 or block_steps < 1:
-        raise DomainError(f"need chunk_paths, block_steps >= 1, got {chunk_paths}, {block_steps}")
     if scheme not in ("euler", "exact"):
         raise DomainError(f"unknown scheme {scheme!r}")
     if scheme == "exact" and model.kind != "bessel":
@@ -460,7 +460,7 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge,
         res.x_stop[at0] = res.i_stop[at0] = x0
         if at0.all():
             return res
-        for ln in _lane_blocks(seed, lo, hi, n_max, init, chunk_paths, block_steps):
+        for ln in _lane_blocks(seed, lo, hi, n_max, init):
             B, m, st = ln.steps, ln.index.size, ln.state
             res.path_steps_stepped += m * B
 
@@ -540,10 +540,13 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge,
             for j, row in enumerate(pending & at_h):
                 record(j, np.nonzero(row)[0], B - 1, True)
 
-            # a failed Euler step counts only on a lane still live at that step
-            if scheme == "euler":
-                bad = (Xn <= EULER_FLOOR) & ~(a < x_guard) if is_bessel else Xn <= EULER_FLOOR
-                cols, rows = _first_true(bad)
+            # a failed Euler step counts only on a lane still live at that step.
+            # Bessel lanes cannot fail: a guarded lane takes the exact substep,
+            # an unguarded one starts at a >= 8.5 sqrt(step) with drift > 0 and
+            # z >= ndtri(_U_FLOOR) = -8.21, so it lands above 0.29 sqrt(step),
+            # which exceeds EULER_FLOOR for any step > 1.2e-23
+            if scheme == "euler" and not is_bessel:
+                cols, rows = _first_true(Xn <= EULER_FLOOR)
                 t_bad, p_bad = ln.t[rows, cols], ln.index[cols]
                 last = res.stop_step[:, p_bad - lo].max(axis=0)
                 live = np.nonzero(pending[:, cols].any(axis=0) | (t_bad <= last))[0]
@@ -570,18 +573,13 @@ def simulate_rules(
     horizon: float = 50.0,
     scheme: str = "euler",
     bridge: bool = True,
-    chunk_paths: int = 8192,
-    block_steps: int = 256,
 ) -> BatchResult:
     """One common-random-numbers pass recording every rule's first trigger.
 
     The trajectory does not depend on the rules, so evaluating many rules
     in one pass is exactly equivalent to separate runs with the same seed.
-    ``chunk_paths`` is the lane width and ``block_steps`` the block length
-    of lane refill within each shard (module docstring); neither affects
-    results.
     """
-    run = _engine(model, x0, rules, seed, step, horizon, scheme, bridge, chunk_paths, block_steps)
+    run = _engine(model, x0, rules, seed, step, horizon, scheme, bridge)
     if n_paths < 1:
         raise DomainError(f"need n_paths >= 1, got {n_paths}")
     return _sharded(run, n_paths)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 import goldenstop as g
 from goldenstop import cev, checks, simulate
@@ -47,7 +48,21 @@ def test_engine_passes_per_check_group(monkeypatch):
         calls.clear()
         checks.run_checks([group], n_paths=64, seed=5, step=1e-2)
         counts[group] = len(calls)
-    assert counts == {"golden-rule": 1, "future-min": 2, "cev": 3}
+    assert counts == {"golden-rule": 1, "future-min": 2, "cev": 2}
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_cev_route_ks_equals_the_transformed_sampler(seed):
+    # the drawdown row of the identity pass is the transformed route
+    kw = dict(n_paths=300, step=1e-2, horizon=30.0)
+    rows = {r.name: r for r in checks.cev_checks(seed=seed, **kw)}
+    model = cev.CevModel(3.0, 1.0)
+    lam = g.bessel_lambda(3.0)
+    za, _ = cev.transformed_stopped_samples(model, 1.0, lam, seed=seed, bridge=False, **kw)
+    zb, _ = cev.direct_stopped_samples(model, 1.0, lam, seed=seed + 1_000_003, **kw)
+    assert rows["cev-two-route-ks"].value == float(ks_2samp(za, zb).statistic)
+    ident = rows["drawdown-step-identity"]
+    assert ident.passed and ident.value == 0.0 and "over 300 shared paths" in ident.detail
 
 
 def _stopped_mean_row(x_stop, step):

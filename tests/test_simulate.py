@@ -175,14 +175,22 @@ def test_simulate_path_matches_batch_row():
         assert po.truncated == bool(res.truncated[0, p])
 
 
+def _lanes(width, blocks, *args, **kwargs):
+    """simulate_rules with the engine's lane width and block length replaced."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_LANE_WIDTH", width)
+        mp.setattr(simulate, "_BLOCK_STEPS", blocks)
+        return simulate_rules(*args, **kwargs)
+
+
 def test_chunk_and_block_invariance():
-    """Performance knobs must not change any recorded value."""
+    """The lane width and block length must not change any recorded value."""
     model = g.make_bessel_model(3.0)
     rules = [g.StoppingRule.ratio_rule(LAM3), g.StoppingRule.fixed_time_rule(0.5)]
     kw = dict(seed=19, step=1e-3, horizon=3.0)
     base = simulate_rules(model, 1.0, rules, 40, **kw)
-    tiny = simulate_rules(model, 1.0, rules, 40, chunk_paths=7, block_steps=11, **kw)
-    wide = simulate_rules(model, 1.0, rules, 40, chunk_paths=1000, block_steps=4096, **kw)
+    tiny = _lanes(7, 11, model, 1.0, rules, 40, **kw)
+    wide = _lanes(1000, 4096, model, 1.0, rules, 40, **kw)
     pairs = [(base, tiny), (base, wide)]
 
     # 7 lanes for 40 paths: retired lanes are refilled at every boundary
@@ -196,8 +204,7 @@ def test_chunk_and_block_invariance():
     for x0, case_rules, extra in cases:
         ref = simulate_rules(model, x0, case_rules, 40, **kw, **extra)
         for blocks in (11, 256):
-            pairs.append((ref, simulate_rules(model, x0, case_rules, 40, chunk_paths=7,
-                                              block_steps=blocks, **kw, **extra)))
+            pairs.append((ref, _lanes(7, blocks, model, x0, case_rules, 40, **kw, **extra)))
 
     for base, other in pairs:
         assert np.array_equal(base.stop_step, other.stop_step)
@@ -337,10 +344,15 @@ def test_stepped_path_steps_waste_below_one_block():
     model = g.make_bessel_model(3.0)
     rules = [g.StoppingRule.ratio_rule(2.1), g.StoppingRule.ratio_rule(LAM3)]
     for n_paths, width, blocks in ((40, 7, 16), (300, 64, 256), (50, 8192, 256)):
-        res = simulate_rules(model, 1.0, rules, n_paths, seed=3, step=1e-3, horizon=10.0,
-                             chunk_paths=width, block_steps=blocks)
+        res = _lanes(width, blocks, model, 1.0, rules, n_paths, seed=3, step=1e-3, horizon=10.0)
         consumed = int(res.stop_step.max(axis=0).sum())
         assert consumed <= res.path_steps_stepped < consumed + n_paths * blocks
+
+
+def test_bessel_euler_step_cannot_reach_the_floor():
+    # the engine skips the failed-step scan on Bessel models: an unguarded
+    # lane starts at >= 8.5 sqrt(step), above the largest normal decrement
+    assert -ndtri(simulate._U_FLOOR) < 8.5
 
 
 def test_custom_model_rejections():
