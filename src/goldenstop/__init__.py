@@ -19,7 +19,6 @@ comparisons), `cev` (price-side drawdown picture, Fibonacci levels),
 """
 
 from .errors import (
-    CheckFailure,
     ConsistencyError,
     DivergenceError,
     DomainError,
@@ -117,7 +116,6 @@ __all__ = [
     "NoMinimalSolutionError",
     "ConsistencyError",
     "SchemeError",
-    "CheckFailure",
     "DiffusionModel",
     "make_bessel_model",
     "model_from_scale",

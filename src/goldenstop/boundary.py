@@ -571,7 +571,11 @@ def boundary_from_csv(path, model: Optional[DiffusionModel] = None) -> Boundary:
     provenance becomes "imported" since the file format does not carry it.
     """
     ig, fg, hg = [], [], []
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DomainError(f"{path}: cannot read boundary file ({exc.strerror})") from exc
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["i", "f"]:
@@ -580,10 +584,13 @@ def boundary_from_csv(path, model: Optional[DiffusionModel] = None) -> Boundary:
         for row in reader:
             if not row or not "".join(row).strip():
                 continue
-            ig.append(float(row[0]))
-            fg.append(float(row[1]))
-            if has_h:
-                hg.append(float(row[2]))
+            try:
+                ig.append(float(row[0]))
+                fg.append(float(row[1]))
+                if has_h:
+                    hg.append(float(row[2]))
+            except (IndexError, ValueError) as exc:
+                raise DomainError(f"{path}: malformed row {row}") from exc
     if not has_h:
         if model is None:
             raise DomainError(f"{path}: no h column and no model to recompute it")

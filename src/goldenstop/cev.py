@@ -40,6 +40,7 @@ from .simulate import (
     StoppingRule,
     _first_true,
     _lane_blocks,
+    _mean_se,
     _sharded,
     estimate_objective,
     simulate_rules,
@@ -310,12 +311,6 @@ def martingale_defect_table(
     )
     rows = []
     for j, t in enumerate(hs):
-        z = cev_transform(cev, res.x_stop[j])
-        rows.append(
-            {
-                "horizon": t,
-                "mean_price": float(np.mean(z)),
-                "std_error": float(np.std(z, ddof=1) / math.sqrt(n_paths)),
-            }
-        )
+        mean, se = _mean_se(cev_transform(cev, res.x_stop[j]))
+        rows.append({"horizon": t, "mean_price": mean, "std_error": se})
     return rows

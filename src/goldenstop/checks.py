@@ -32,8 +32,8 @@ from .bessel import (
 )
 from .cev import CevModel, cev_transform, direct_stopped_samples
 from .diffusion import make_bessel_model
-from .errors import CheckFailure, DomainError
-from .simulate import StoppingRule, estimate_future_min_prob, simulate_rules
+from .errors import DomainError
+from .simulate import StoppingRule, _mean_se, estimate_future_min_prob, simulate_rules
 
 __all__ = [
     "CheckResult",
@@ -44,7 +44,6 @@ __all__ = [
     "cev_checks",
     "CHECK_GROUPS",
     "run_checks",
-    "require_pass",
 ]
 
 
@@ -84,9 +83,7 @@ def _golden_pass(ratios, n_paths, seed, step, horizon):
 def _grade_star(res, j, step) -> list:
     """The three golden-rule rows from row j (the 1+phi rule) of a pass."""
     d, x0, lam = 3.0, 1.0, _SWEEP[_STAR]
-    obj = res.objective[j]
-    mean = float(obj.mean())
-    se = float(obj.std(ddof=1)) / math.sqrt(obj.size)
+    mean, se = _mean_se(res.objective[j])
     target = bessel_value(d, lam, x0, x0)
     diff = abs(mean - target)
     tol = 3.0 * se + 0.01 * abs(target)
@@ -128,9 +125,7 @@ def _grade_sweep(res, star) -> list:
     for j, l in enumerate(_SWEEP):
         if j == star:
             continue
-        dvec = obj[j] - obj[star]
-        dmean = float(dvec.mean())
-        dse = float(dvec.std(ddof=1)) / math.sqrt(dvec.size)
+        dmean, dse = _mean_se(obj[j] - obj[star])
         z = dmean / dse
         if z < zmin:
             zmin, worst = z, f"ratio {l:g}: gap {dmean:.5f}, paired se {dse:.2g}"
@@ -349,13 +344,3 @@ def run_checks(
             kwargs["step"] = float(step)
         results.extend(fn(**kwargs))
     return results
-
-
-def require_pass(results: Sequence[CheckResult]) -> None:
-    """Raise CheckFailure listing every failed row (no-op if all passed)."""
-    bad = [r for r in results if not r.passed]
-    if bad:
-        lines = ", ".join(
-            f"{r.name} (value {r.value:.4g}, tolerance {r.tolerance:.4g})" for r in bad
-        )
-        raise CheckFailure(f"{len(bad)} check(s) failed: {lines}")

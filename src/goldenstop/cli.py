@@ -223,10 +223,7 @@ def _parse_rule(text: str, model) -> StoppingRule:
         lam = float(arg) if arg else bessel_lambda(model.dim)
         return StoppingRule.ratio_rule(lam)
     if kind == "drawdown":
-        if arg:
-            kappa = float(arg)
-        else:
-            kappa = bessel_lambda(model.dim) ** (model.dim - 2.0)
+        kappa = float(arg) if arg else cev_rule_threshold(CevModel(model.dim))
         return StoppingRule.drawdown_rule(kappa)
     if kind in ("fixed", "fixed_time", "time"):
         return StoppingRule.fixed_time_rule(float(arg))

@@ -365,24 +365,8 @@ def model_from_coefficients(
             return np.array([invert_one(val) for val in v])
         return invert_one(float(v))
 
-    def speed_density(x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 / (volatility(x) ** 2 * scale_deriv(x))
-
-    model = DiffusionModel(
-        kind="custom",
-        drift=drift,
-        volatility=volatility,
-        scale=scale,
-        scale_deriv=scale_deriv,
-        scale_inverse=scale_inverse,
-        speed_density=speed_density,
-        dim=None,
-        domain=(x_min, x_max),
-        label=label,
-    )
-    validate_model(model)
-    return model
+    return model_from_scale(drift, volatility, scale, scale_deriv, scale_inverse,
+                            domain=(x_min, x_max), label=label)
 
 
 def model_from_csv(path, x_ref: Optional[float] = None, label: Optional[str] = None) -> DiffusionModel:

@@ -3,7 +3,8 @@
 Domain violations (bad inputs, wrong parameter ranges) are ValueError
 subclasses; numerical failures (divergence, scheme breakdown, broken
 invariants) are RuntimeError subclasses.  The CLI maps the former to exit
-code 2 and the latter to exit code 3.
+code 2 and the latter to exit code 3.  A failed statistical check is not an
+exception: the CLI sets exit code 4 from the returned check rows.
 """
 
 from __future__ import annotations
@@ -58,8 +59,3 @@ class ConsistencyError(NumericalError):
 class SchemeError(NumericalError):
     """Discretisation scheme produced an invalid state (nonpositive
     coordinate outside the guarded region)."""
-
-
-class CheckFailure(GoldenstopError):
-    """A statistical validation check came out outside tolerance.
-    Mapped to CLI exit code 4."""

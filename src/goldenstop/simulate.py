@@ -38,9 +38,17 @@ calling process, the others in workers forked from it (none without the
 per-path outputs are merged in path order, so by the contract above the
 pass is bit-identical to a serial one.
 
-The objective accumulated along a path is int_0^tau c(I_t, X_t) dt by the
-trapezoid rule on the step grid; a rule that triggers at t = 0 reports
-objective 0.
+Rules
+-----
+Each rule stops once X reaches a function of its running minimum I (lam * I,
+a boundary f(I), or a drawdown threshold kappa, which the price map turns
+into the ratio kappa^(1/(d-2))), or at a fixed time.  `_trigger` turns a
+rule into its vectorised test and `_ratio_of` is the one drawdown-to-ratio
+map.  The objective accumulated along a path is int_0^tau c(I_t, X_t) dt by
+the trapezoid rule on the step grid; a rule that triggers at t = 0 reports
+objective 0.  Every objective estimate, `estimate_objective` included, is
+made by `compare_rules`, which warns once for each rule whose paths hit
+the horizon more than 1% of the time.
 """
 
 from __future__ import annotations
@@ -230,60 +238,52 @@ def make_path_stream(seed: int, index: int) -> PathStream:
 # rule preparation
 
 
-class _CompiledRule:
-    __slots__ = ("kind", "lam", "boundary", "k_stop", "level", "rule_id")
-
-    def __init__(self, rule, model: DiffusionModel, step: float):
-        self.boundary = None
-        self.lam = 0.0
-        self.k_stop = -1
-        self.level = 0.0
-        if isinstance(rule, StoppingRule):
-            self.rule_id = rule.rule_id
-            if rule.variant == "ratio":
-                self.kind = "ratio"
-                self.lam = float(rule.lam)
-            elif rule.variant == "drawdown":
-                if model.kind != "bessel":
-                    raise DomainError(
-                        "drawdown rules are defined through the Bessel price map; "
-                        f"model kind {model.kind!r} is not supported"
-                    )
-                d = model.dim
-                # d = 3 maps a drawdown threshold to the identical ratio; keep
-                # it bit-exact rather than routing through pow()
-                self.kind = "ratio"
-                self.lam = float(rule.kappa) if d == 3.0 else float(rule.kappa) ** (1.0 / (d - 2.0))
-            elif rule.variant == "fixed_time":
-                self.kind = "fixed_time"
-                self.k_stop = int(math.ceil(rule.t / step - 1e-9)) if rule.t > 0.0 else 0
-            elif rule.variant == "boundary":
-                self.kind = "boundary"
-                self.boundary = rule.boundary
-            else:  # pragma: no cover
-                raise DomainError(f"unknown rule variant {rule.variant!r}")
-        elif isinstance(rule, _DipProbe):
-            self.kind = "dip"
-            self.level = rule.level
-            self.rule_id = f"future-min(level={rule.level:.17g})"
-        else:
-            raise DomainError(f"not a stopping rule: {rule!r}")
-
-    def triggered(self, x, i, k_next):
-        if self.kind == "ratio":
-            return x >= self.lam * i
-        if self.kind == "boundary":
-            return x >= self.boundary(i)
-        if self.kind == "fixed_time":
-            return k_next >= self.k_stop
-        return i < self.level  # dip
-
-
 @dataclass(frozen=True)
 class _DipProbe:
     """Internal pseudo-rule: fires once the running minimum falls below level."""
 
     level: float
+    variant = "dip"
+
+    @property
+    def rule_id(self) -> str:
+        return f"future-min(level={self.level:.17g})"
+
+
+def _ratio_of(rule, model: DiffusionModel) -> Optional[float]:
+    """The lam for which ``rule`` is the ratio rule X >= lam * I, else None.
+
+    A drawdown threshold kappa maps through the Bessel price map to
+    lam = kappa^(1/(d-2)); at d = 3 that is kappa itself, kept bit-exact
+    rather than routed through pow().
+    """
+    if rule.variant == "ratio":
+        return float(rule.lam)
+    if rule.variant != "drawdown":
+        return None
+    if model.kind != "bessel":
+        raise DomainError(
+            "drawdown rules are defined through the Bessel price map; "
+            f"model kind {model.kind!r} is not supported"
+        )
+    d = model.dim
+    return float(rule.kappa) if d == 3.0 else float(rule.kappa) ** (1.0 / (d - 2.0))
+
+
+def _trigger(rule, model: DiffusionModel, step: float):
+    """The rule's vectorised test ``hit(x, i, t)``: state x, running minimum
+    i and step index t reached, all broadcast together."""
+    if not isinstance(rule, (StoppingRule, _DipProbe)):
+        raise DomainError(f"not a stopping rule: {rule!r}")
+    lam = _ratio_of(rule, model)
+    if lam is not None:
+        return lambda x, i, t: x >= lam * i
+    if rule.variant == "boundary":
+        return lambda x, i, t: x >= rule.boundary(i)
+    if rule.variant == "fixed_time":
+        k_stop = int(math.ceil(rule.t / step - 1e-9)) if rule.t > 0.0 else 0
+        return lambda x, i, t: t >= k_stop
+    return lambda x, i, t: i < rule.level
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +429,20 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
         raise DomainError(f"unknown scheme {scheme!r}")
     if scheme == "exact" and model.kind != "bessel":
         raise DomainError("the exact transition scheme is Bessel-specific")
+    rules = list(rules)
     if not rules:
         raise DomainError("need at least one rule")
     seed = _check_seed(seed)
 
-    compiled = [_CompiledRule(r, model, step) for r in rules]
-    rule_ids = [sp.rule_id for sp in compiled]
+    triggers = [_trigger(r, model, step) for r in rules]
+    rule_ids = [r.rule_id for r in rules]
     n_max = int(math.ceil(horizon / step - 1e-9))
 
     # rules that hold at t = 0 (fixed_time(0), a degenerate boundary) fire
     # there on every path with objective 0
     x0 = float(x0)
     start = np.full(1, x0)
-    at0 = np.array([sp.triggered(start, start, np.zeros(1, np.int64))[0] for sp in compiled])
+    at0 = np.array([hit(start, start, np.zeros(1, np.int64))[0] for hit in triggers])
 
     is_bessel = model.kind == "bessel"
     if is_bessel:
@@ -455,7 +456,7 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
     init = dict(X=x0, I=x0, obj=0.0, cprev=-1.0, theta=0, pending=~at0)
 
     def run(lo, hi):
-        res = BatchResult(len(compiled), hi - lo)
+        res = BatchResult(len(rules), hi - lo)
         res.rule_ids = rule_ids
         res.x_stop[at0] = res.i_stop[at0] = x0
         if at0.all():
@@ -533,7 +534,7 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
                 pending[j, cols] = False
 
             for j in np.nonzero(pending.any(axis=1))[0]:
-                hit = compiled[j].triggered(Xn, I, ln.t)
+                hit = triggers[j](Xn, I, ln.t)
                 hit &= pending[j]
                 record(j, *_first_true(hit), False)
             at_h = ln.offset + B == n_max
@@ -614,21 +615,11 @@ def simulate_path(
     )
 
 
-def _estimate_from_batch(res, j, n_paths, seed, step, horizon) -> MonteCarloEstimate:
-    objs = res.objective[j]
-    mean = float(np.sum(objs)) / n_paths
-    se = float(np.std(objs, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else math.inf
-    trunc = float(np.mean(res.truncated[j]))
-    return MonteCarloEstimate(
-        mean=mean,
-        std_error=se,
-        n_paths=n_paths,
-        seed=seed,
-        step=step,
-        rule_id=res.rule_ids[j],
-        horizon=horizon,
-        truncated_fraction=trunc,
-    )
+def _mean_se(values):
+    """Sample mean of a 1-d array and its standard error (inf for one value)."""
+    n = values.size
+    se = float(np.std(values, ddof=1)) / math.sqrt(n) if n > 1 else math.inf
+    return float(np.mean(values)), se
 
 
 def estimate_objective(
@@ -644,22 +635,12 @@ def estimate_objective(
 ) -> MonteCarloEstimate:
     """Mean and standard error of the stopped objective under one rule.
 
-    Truncated paths (horizon hit first) contribute their accumulated
-    objective; a truncated fraction above 1% draws a warning since the
-    estimate is then noticeably horizon-biased.
+    The single-rule case of `compare_rules`, with its truncation warning.
     """
-    res = simulate_rules(
+    return compare_rules(
         model, x0, [rule], n_paths, seed=seed, step=step, horizon=horizon,
         scheme=scheme, bridge=bridge,
-    )
-    est = _estimate_from_batch(res, 0, n_paths, seed, step, horizon)
-    if est.truncated_fraction > 0.01:
-        warnings.warn(
-            f"{est.truncated_fraction:.1%} of paths hit the horizon before the "
-            f"rule {est.rule_id} fired; the estimate is horizon-biased",
-            stacklevel=2,
-        )
-    return est
+    ).estimates[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -672,9 +653,7 @@ class RuleComparison:
 
     def paired_difference(self, j: int, k: int):
         """Mean and standard error of objective_j - objective_k (paired)."""
-        diff = self.objectives[j] - self.objectives[k]
-        n = diff.size
-        return float(np.mean(diff)), float(np.std(diff, ddof=1) / math.sqrt(n))
+        return _mean_se(self.objectives[j] - self.objectives[k])
 
     def rows(self):
         return [e.to_dict() for e in self.estimates]
@@ -691,15 +670,31 @@ def compare_rules(
     scheme: str = "euler",
     bridge: bool = True,
 ) -> RuleComparison:
-    """Evaluate all rules on the same trajectories (one pass, paired)."""
+    """Mean and standard error of every rule's stopped objective, on the
+    same trajectories (one pass, so differences can be paired).
+
+    Truncated paths (horizon hit first) contribute their accumulated
+    objective; each rule whose truncated fraction exceeds 1% draws its own
+    warning, since its estimate is then noticeably horizon-biased.
+    """
     res = simulate_rules(
         model, x0, rules, n_paths, seed=seed, step=step, horizon=horizon,
         scheme=scheme, bridge=bridge,
     )
-    ests = [
-        _estimate_from_batch(res, j, n_paths, seed, step, horizon)
-        for j in range(len(rules))
-    ]
+    ests = []
+    for j, rule_id in enumerate(res.rule_ids):
+        mean, se = _mean_se(res.objective[j])
+        trunc = float(np.mean(res.truncated[j]))
+        if trunc > 0.01:
+            warnings.warn(
+                f"{trunc:.1%} of paths hit the horizon before the rule {rule_id} "
+                "fired; the estimate is horizon-biased",
+                stacklevel=2,
+            )
+        ests.append(MonteCarloEstimate(
+            mean=mean, std_error=se, n_paths=n_paths, seed=seed, step=step,
+            rule_id=rule_id, horizon=horizon, truncated_fraction=trunc,
+        ))
     return RuleComparison(estimates=ests, objectives=res.objective, rule_ids=res.rule_ids)
 
 
@@ -716,10 +711,11 @@ def sample_stopped_distribution(
 ):
     """Sorted sample of the stopped state and its KS distance to theory.
 
-    The reference law is the closed-form power law for ratio-type rules on
-    Bessel models, and the quadrature law of `stopped_cdf_general` for
-    boundary rules.  Truncated paths are excluded from the sample, with a
-    warning once they exceed 1% of the run.
+    The reference law is the closed-form power law for ratio and drawdown
+    rules (at the drawdown's mapped ratio) on Bessel models, and the
+    quadrature law of `stopped_cdf_general` for boundary rules.  Truncated
+    paths are excluded from the sample, with a warning once they exceed 1%
+    of the run.
     """
     res = simulate_rules(
         model, x0, [rule], n_paths, seed=seed, step=step, horizon=horizon,
@@ -734,19 +730,19 @@ def sample_stopped_distribution(
         )
     sample = np.sort(res.x_stop[0, ok])
 
-    cr = _CompiledRule(rule, model, step)
-    if cr.kind == "ratio" and model.kind == "bessel":
-        dist = make_stopped_distribution(model.dim, cr.lam, x0)
+    lam = _ratio_of(rule, model)
+    if lam is not None and model.kind == "bessel":
+        dist = make_stopped_distribution(model.dim, lam, x0)
         ks = float(kstest(sample, lambda y: stopped_cdf(dist, y)).statistic)
-    elif cr.kind == "boundary":
+    elif rule.variant == "boundary":
         ks = float(
             kstest(sample, lambda y: np.array([
-                stopped_cdf_general(model, cr.boundary, x0, float(v)) for v in np.atleast_1d(y)
+                stopped_cdf_general(model, rule.boundary, x0, float(v)) for v in np.atleast_1d(y)
             ])).statistic
         )
     else:
         raise DomainError(
-            f"no reference stopped law for rule kind {cr.kind!r} on model {model.kind!r}"
+            f"no reference stopped law for rule kind {rule.variant!r} on model {model.kind!r}"
         )
     return sample, ks
 

@@ -193,6 +193,18 @@ def test_bad_rule_text_exit_2():
     assert "cannot parse rule" in res.stderr
 
 
+def test_bad_boundary_file_exit_2(tmp_path):
+    short = tmp_path / "short.csv"
+    short.write_text("i,f,h\n0.5,1.3,0.8\n0.7\n")
+    for path, msg in ((short, "malformed row ['0.7']"),
+                      (tmp_path / "absent.csv", "cannot read boundary file")):
+        res = CliRunner().invoke(
+            main, ["simulate", "--rule", f"boundary:{path}", "--n-paths", "10", "--step", "0.01"]
+        )
+        assert res.exit_code == 2, res.output
+        assert f"error: {path}: {msg}" in res.stderr
+
+
 def test_click_usage_error_exit_2():
     res = CliRunner().invoke(main, ["boundary", "--grid", "3"])
     assert res.exit_code == 2

@@ -247,6 +247,20 @@ def test_drawdown_rule_identities():
     assert np.array_equal(c.x_stop, d_.x_stop)
 
 
+def test_drawdown_stopped_law_is_the_mapped_ratio_law():
+    # at d = 5 a drawdown rule is graded against the power law of its
+    # mapped ratio kappa^(1/3): same sample, same KS, bit for bit
+    model5 = g.make_bessel_model(5.0)
+    kappa = g.cev_rule_threshold(g.CevModel(5.0))
+    kw = dict(n_paths=300, seed=59, step=1e-3, horizon=50.0)
+    s_d, ks_d = g.sample_stopped_distribution(model5, 1.0, g.StoppingRule.drawdown_rule(kappa), **kw)
+    s_r, ks_r = g.sample_stopped_distribution(
+        model5, 1.0, g.StoppingRule.ratio_rule(kappa ** (1.0 / 3.0)), **kw)
+    assert s_d.size == 300
+    assert np.array_equal(s_d, s_r)
+    assert ks_d == ks_r
+
+
 def test_rule_validation():
     with pytest.raises(g.DomainError):
         g.StoppingRule.ratio_rule(1.0)
@@ -307,6 +321,21 @@ def test_truncation_warning():
     assert est.truncated_fraction > 0.9
     assert math.isfinite(est.mean)
 
+
+
+def test_compare_rules_warns_once_per_truncated_rule():
+    # from x0 = 1 at horizon 0.05 nearly every 4.0-path and 3.3-path is
+    # still running; ratio 1.05 fires within a few steps on every path
+    model = g.make_bessel_model(3.0)
+    rules = [g.StoppingRule.ratio_rule(l) for l in (4.0, 1.05, 3.3)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cmp_ = g.compare_rules(model, 1.0, rules, n_paths=64, seed=37, step=1e-3, horizon=0.05)
+    msgs = [str(w.message) for w in caught]
+    assert [e.truncated_fraction > 0.01 for e in cmp_.estimates] == [True, False, True]
+    assert len(msgs) == 2
+    for msg, j in zip(msgs, (0, 2)):
+        assert "horizon-biased" in msg and cmp_.rule_ids[j] in msg
 
 def _plunging_model():
     # properly normalised scale but a drift that slams paths through zero
