@@ -27,9 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .diffusion import DiffusionModel, QUAD_EPSABS, QUAD_EPSREL
+from .diffusion import DiffusionModel, _integrate
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -283,5 +282,4 @@ def stopped_cdf_general(model: DiffusionModel, boundary, x0: float, y) -> float:
     def integrand(z):
         return model.scale_deriv(z) / (model.scale(float(boundary(z))) - model.scale(z))
 
-    val, _ = quad(integrand, z_y, x0, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-    return float(math.exp(-val))
+    return float(math.exp(-_integrate(integrand, z_y, x0)))

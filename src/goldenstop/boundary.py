@@ -38,16 +38,11 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .diffusion import (
-    QUAD_EPSABS,
-    QUAD_EPSREL,
-    DiffusionModel,
-    h_curve,
-)
+from .diffusion import DiffusionModel, _integrate, _read_columns, h_curve
 from .errors import (
     ConsistencyError,
     DivergenceError,
@@ -192,8 +187,7 @@ def _inner_integral(model: DiffusionModel, i: float, f: float, li: float, lpi: f
         ly = float(L(y))
         return 2.0 * ly * lpi / li**2 * (ly - li) / (float(sig(y)) ** 2 * float(Lp(y)))
 
-    val, _ = quad(g, i, f, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-    return val
+    return _integrate(g, i, f)
 
 
 def boundary_ode_rhs(model: DiffusionModel, i: float, f: float) -> float:
@@ -231,7 +225,9 @@ class _Shot:
 
         def inv_rhs(f, y):
             i = y[0]
-            if i <= 0.0:  # a trial stage left the domain; nan rejects the step
+            # a trial stage left the domain, or inherited nan from one that
+            # did; nan rejects the step
+            if not i > 0.0:
                 return [math.nan]
             li = float(L(i))
             lf = float(L(f))
@@ -457,13 +453,13 @@ def _value_formula(
     boundary: Boundary,
     i: float,
     x: float,
-    epsabs: float,
-    epsrel: float,
+    **tolerances,
 ) -> float:
     """Quadrature value formula without domain clamping.
 
     Smooth in (i, x) across both the diagonal x = i and the boundary
     x = f(i); the public evaluator applies the domain semantics.
+    ``tolerances`` (epsabs, epsrel) override the quadrature defaults.
     """
     L, sp = model.scale, model.speed_density
     li = float(L(i))
@@ -474,8 +470,7 @@ def _value_formula(
         ly = float(L(y))
         return (1.0 - 2.0 * ly / li) * (ly - lx) * float(sp(y))
 
-    val, _ = quad(g, x, f_i, epsabs=epsabs, epsrel=epsrel, limit=200)
-    return -val
+    return -_integrate(g, x, f_i, **tolerances)
 
 
 def value_function_numeric(
@@ -494,7 +489,7 @@ def value_function_numeric(
         raise DomainError(f"need 0 < i <= x, got i={i}, x={x}")
     if x >= float(boundary(i)):
         return 0.0
-    return _value_formula(model, boundary, i, x, QUAD_EPSABS, QUAD_EPSREL)
+    return _value_formula(model, boundary, i, x)
 
 
 def free_boundary_residuals(
@@ -522,10 +517,9 @@ def free_boundary_residuals(
     f_i = float(boundary(i))
     if x > f_i:
         raise DomainError(f"need x <= f(i) = {f_i:g}, got x={x}")
-    epsabs, epsrel = 1.5e-13, 1e-11
 
     def V(ii, xx):
-        return _value_formula(model, boundary, ii, xx, epsabs, epsrel)
+        return _value_formula(model, boundary, ii, xx, epsabs=1.5e-13, epsrel=1e-11)
 
     # interior equation in x
     dx = DELTA_SCALE * (1.0 + x)
@@ -570,31 +564,13 @@ def boundary_from_csv(path, model: Optional[DiffusionModel] = None) -> Boundary:
     The h column is optional when a model is supplied (h is recomputed);
     provenance becomes "imported" since the file format does not carry it.
     """
-    ig, fg, hg = [], [], []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DomainError(f"{path}: cannot read boundary file ({exc.strerror})") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["i", "f"]:
-            raise DomainError(f"{path}: expected header starting 'i,f', got {header}")
-        has_h = len(header) >= 3 and header[2].strip().lower() == "h"
-        for row in reader:
-            if not row or not "".join(row).strip():
-                continue
-            try:
-                ig.append(float(row[0]))
-                fg.append(float(row[1]))
-                if has_h:
-                    hg.append(float(row[2]))
-            except (IndexError, ValueError) as exc:
-                raise DomainError(f"{path}: malformed row {row}") from exc
-    if not has_h:
-        if model is None:
-            raise DomainError(f"{path}: no h column and no model to recompute it")
-        hg = list(np.asarray(h_curve(model, np.asarray(ig))))
+    ig, fg, *h_column = _read_columns(path, "boundary file", ("i", "f"), optional="h")
+    if h_column:
+        hg = h_column[0]
+    elif model is not None:
+        hg = h_curve(model, np.asarray(ig))
+    else:
+        raise DomainError(f"{path}: no h column and no model to recompute it")
     return Boundary(
         i_grid=np.asarray(ig),
         f_grid=np.asarray(fg),

@@ -20,13 +20,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import tempfile
 
 import click
 
 from .bessel import (
+    GOLDEN_RATIO,
     bessel_characteristic,
     bessel_lambda,
     bessel_value,
@@ -69,6 +69,11 @@ def _csv_text(header, rows) -> str:
     for row in rows:
         w.writerow(row)
     return buf.getvalue()
+
+
+def _csv_records(records) -> str:
+    """CSV of equal-keyed dicts of reals: the keys are the header."""
+    return _csv_text(list(records[0]), [[_g(v) for v in r.values()] for r in records])
 
 
 def _json_text(obj) -> str:
@@ -121,14 +126,8 @@ def dispatch(body, fmt="csv", out=None, **options) -> int:
 
 def _cmd_lambda(fmt, d):
     lam = bessel_lambda(d)
-    resid = abs(float(bessel_characteristic(d, lam)))
-    if fmt == "json":
-        text = _json_text({"d": d, "lambda": lam, "residual": resid})
-    else:
-        text = _csv_text(
-            ["d", "lambda", "residual"], [[_g(d), _g(lam), _g(resid)]]
-        )
-    return text, 0
+    record = {"d": d, "lambda": lam, "residual": abs(float(bessel_characteristic(d, lam)))}
+    return (_json_text(record) if fmt == "json" else _csv_records([record])), 0
 
 
 def _cmd_boundary(fmt, d, i_min, i_max, grid, shots, ray):
@@ -138,22 +137,12 @@ def _cmd_boundary(fmt, d, i_min, i_max, grid, shots, ray):
     else:
         b = minimal_boundary(model, i_min, i_max, n_grid=grid, n_shots=shots)
     rows = [
-        [_g(i), _g(f), _g(h), _g(f / i)]
+        {"i": i, "f": f, "h": h, "f_over_i": f / i}
         for i, f, h in zip(b.i_grid, b.f_grid, b.h_grid)
     ]
     if fmt == "json":
-        text = _json_text(
-            {
-                "provenance": b.provenance,
-                "rows": [
-                    {"i": i, "f": f, "h": h, "f_over_i": f / i}
-                    for i, f, h in zip(b.i_grid, b.f_grid, b.h_grid)
-                ],
-            }
-        )
-    else:
-        text = _csv_text(["i", "f", "h", "f_over_i"], rows)
-    return text, 0
+        return _json_text({"provenance": b.provenance, "rows": rows}), 0
+    return _csv_records(rows), 0
 
 
 def _cmd_value(fmt, d, lam, i, x):
@@ -165,25 +154,16 @@ def _cmd_value(fmt, d, lam, i, x):
     hi = max(i, x) * 4.0
     b = line_boundary(model, lam, lo, hi, 33)
     numeric = value_function_numeric(model, b, i, x)
-    diff = abs(closed - numeric)
-    if fmt == "json":
-        text = _json_text(
-            {
-                "d": d,
-                "lam": lam,
-                "i": i,
-                "x": x,
-                "value_closed": closed,
-                "value_quadrature": numeric,
-                "abs_diff": diff,
-            }
-        )
-    else:
-        text = _csv_text(
-            ["d", "lam", "i", "x", "value_closed", "value_quadrature", "abs_diff"],
-            [[_g(d), _g(lam), _g(i), _g(x), _g(closed), _g(numeric), _g(diff)]],
-        )
-    return text, 0
+    record = {
+        "d": d,
+        "lam": lam,
+        "i": i,
+        "x": x,
+        "value_closed": closed,
+        "value_quadrature": numeric,
+        "abs_diff": abs(closed - numeric),
+    }
+    return (_json_text(record) if fmt == "json" else _csv_records([record])), 0
 
 
 def _cmd_distribution(fmt, d, lam, x0):
@@ -252,7 +232,7 @@ def _check_table(fmt, results):
 
 def _cmd_simulate(fmt, seed, d, x0, rules, n_paths, step, horizon, scheme, bridge,
                   check, check_groups):
-    if check:
+    if check or check_groups:
         # None leaves the suite's own sample size and step in charge
         results = run_checks(
             groups=check_groups or None, n_paths=n_paths, seed=seed, step=step
@@ -325,34 +305,17 @@ def _cmd_cev(fmt, seed, d, c_sigma, z0, kappas, n_paths, step, horizon, scheme, 
 
 
 def _cmd_fib(fmt, n):
-    levels = fibonacci_levels(n)
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    levels = fibonacci_levels(n)._asdict()
+    limits = dict(zip(levels, (GOLDEN_RATIO**-3, GOLDEN_RATIO**-2, GOLDEN_RATIO**-1)))
     if fmt == "json":
         text = _json_text(
-            {
-                "n": n,
-                "shallow": levels.shallow,
-                "moderate": levels.moderate,
-                "golden": levels.golden,
-                "limits": {
-                    "shallow": phi**-3,
-                    "moderate": phi**-2,
-                    "golden": phi**-1,
-                },
-                "retracement": retracement_fraction(),
-            }
+            {"n": n, **levels, "limits": limits, "retracement": retracement_fraction()}
         )
     else:
-        rows = [
-            ["n", str(n)],
-            ["shallow", _g(levels.shallow)],
-            ["moderate", _g(levels.moderate)],
-            ["golden", _g(levels.golden)],
-            ["shallow_limit", _g(phi**-3)],
-            ["moderate_limit", _g(phi**-2)],
-            ["golden_limit", _g(phi**-1)],
-            ["retracement", _g(retracement_fraction())],
-        ]
+        rows = [["n", str(n)]]
+        rows += [[k, _g(v)] for k, v in levels.items()]
+        rows += [[f"{k}_limit", _g(v)] for k, v in limits.items()]
+        rows.append(["retracement", _g(retracement_fraction())])
         text = _csv_text(["name", "value"], rows)
     return text, 0
 
@@ -467,8 +430,8 @@ def distribution_cmd(ctx, dim, **options):
                    "--step and --seed apply to the suite; --dim, --x0, --rule, "
                    "--horizon, --scheme and --bridge are ignored.")
 @click.option("--checks", "check_groups", multiple=True,
-              help="Restrict --check to named groups (golden-rule, future-min, "
-                   "cev); repeatable.")
+              help="Run only these groups of the suite (golden-rule, future-min, "
+                   "cev); repeatable; implies --check.")
 @click.pass_context
 def simulate_cmd(ctx, dim, **options):
     """Monte Carlo objective estimates, or the statistical check suite."""

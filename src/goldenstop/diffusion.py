@@ -52,13 +52,53 @@ __all__ = [
     "hitting_probabilities",
     "green_function",
     "expected_exit_integral",
-    "QUAD_EPSABS",
-    "QUAD_EPSREL",
 ]
 
-# Default adaptive-quadrature tolerances for every integral in this module.
+# Default adaptive-quadrature tolerances for every solver integral.
 QUAD_EPSABS = 1e-10
 QUAD_EPSREL = 1e-8
+
+
+def _integrate(g, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL) -> float:
+    """Adaptive quadrature of g over (a, b); a non-finite result raises NumericalError."""
+    val, err = quad(g, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
+    if not math.isfinite(val):
+        raise NumericalError(
+            f"integral over ({a:g}, {b:g}) did not converge (err estimate {err:g})"
+        )
+    return val
+
+
+def _read_columns(path, what, names, optional=None) -> list:
+    """Float columns of a CSV table whose header starts with ``names``.
+
+    ``optional`` names one more column, read when the header carries it
+    next.  Blank rows are skipped; an unreadable file, a wrong header or a
+    malformed row raises DomainError.  Returns one list per column read.
+    """
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DomainError(f"{path}: cannot read {what} ({exc.strerror})") from exc
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        found = [h.strip().lower() for h in header or []]
+        if found[:len(names)] != list(names):
+            raise DomainError(f"{path}: expected header starting '{','.join(names)}', got {header}")
+        if optional is not None and found[len(names):len(names) + 1] == [optional]:
+            names = (*names, optional)
+        columns = [[] for _ in names]
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            try:
+                values = [float(row[k]) for k in range(len(names))]
+            except (IndexError, ValueError) as exc:
+                raise DomainError(f"{path}: malformed row {row}") from exc
+            for column, v in zip(columns, values):
+                column.append(v)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -377,22 +417,7 @@ def model_from_csv(path, x_ref: Optional[float] = None, label: Optional[str] = N
     and the scale is built by model_from_coefficients over exactly that
     range (no extrapolation).
     """
-    xs, mus, sigmas = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != ["x", "mu", "sigma"]:
-            raise DomainError(f"{path}: expected header 'x,mu,sigma', got {header}")
-        for row in reader:
-            if not row or not "".join(row).strip():
-                continue
-            try:
-                x, mu, sg = (float(row[0]), float(row[1]), float(row[2]))
-            except (IndexError, ValueError) as exc:
-                raise DomainError(f"{path}: malformed row {row}") from exc
-            xs.append(x)
-            mus.append(mu)
-            sigmas.append(sg)
+    xs, mus, sigmas = _read_columns(path, "coefficient file", ("x", "mu", "sigma"))
     if len(xs) < 4:
         raise DomainError(f"{path}: need at least 4 rows, got {len(xs)}")
     xs = np.asarray(xs)
@@ -515,15 +540,8 @@ def expected_exit_integral(
         return f(y) * (lx - la) * (lb - model.scale(y)) / denom * model.speed_density(y)
 
     total = 0.0
-    err = 0.0
     if x > a:
-        v, e = quad(left, a, x, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-        total += v
-        err += e
+        total += _integrate(left, a, x)
     if x < b:
-        v, e = quad(right, x, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-        total += v
-        err += e
-    if not math.isfinite(total):
-        raise NumericalError(f"exit integral did not converge (err estimate {err:g})")
+        total += _integrate(right, x, b)
     return total

@@ -9,6 +9,18 @@ exception: the CLI sets exit code 4 from the returned check rows.
 
 from __future__ import annotations
 
+__all__ = [
+    "GoldenstopError",
+    "DomainError",
+    "UnsupportedModelError",
+    "NumericalError",
+    "SingularPointError",
+    "DivergenceError",
+    "NoMinimalSolutionError",
+    "ConsistencyError",
+    "SchemeError",
+]
+
 
 class GoldenstopError(Exception):
     """Base class for every error raised by this package."""

@@ -8,6 +8,7 @@ slope lam for every dimension, which ties the shooting machinery to the
 root finder without sharing any code path.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -106,6 +107,16 @@ def test_value_quadrature_vs_closed_form():
             assert abs(got - ref) < 1e-9, (d, i, x)
     with pytest.raises(g.DomainError):
         g.value_function_numeric(_m3(), g.line_boundary(_m3(), 2.6, 0.1, 8.0), 1.5, 1.0)
+
+
+def test_non_finite_quadrature_raises():
+    # a model whose speed density breaks down must not yield a nan value
+    m = _m3()
+    broken = dataclasses.replace(m, speed_density=lambda y: math.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quad's IntegrationWarning on the nan integrand
+        with pytest.raises(g.NumericalError, match="did not converge"):
+            g.value_function_numeric(broken, g.line_boundary(m, 2.6, 0.1, 8.0), 1.0, 1.5)
 
 
 def test_residuals_small_on_minimal_boundary():

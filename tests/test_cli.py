@@ -390,6 +390,25 @@ def test_simulate_sampling_defaults(monkeypatch):
     assert seen["checks"] == dict(groups=None, n_paths=None, seed=42, step=None)
 
 
+def test_checks_implies_check(monkeypatch):
+    # naming groups runs the suite on them; it never falls through to a
+    # 50,000-path plain estimate
+    seen = {}
+
+    def fake_compare(model, x0, rules, **kwargs):
+        seen["compare"] = kwargs
+        return g.RuleComparison(estimates=[], objectives=None, rule_ids=[])
+
+    def fake_checks(**kwargs):
+        seen["checks"] = kwargs
+        return []
+
+    monkeypatch.setattr("goldenstop.cli.compare_rules", fake_compare)
+    monkeypatch.setattr("goldenstop.cli.run_checks", fake_checks)
+    assert CliRunner().invoke(main, ["simulate", "--checks", "cev"]).exit_code == 0
+    assert seen == {"checks": dict(groups=("cev",), n_paths=None, seed=42, step=None)}
+
+
 def test_unknown_subcommand_exit_2():
     res = CliRunner().invoke(main, ["frobnicate"])
     assert res.exit_code == 2

@@ -202,3 +202,11 @@ def test_csv_model_loader(tmp_path):
     too_short.write_text("x,mu,sigma\n1,1,1\n2,0.5,1\n")
     with pytest.raises(g.DomainError):
         g.model_from_csv(too_short)
+
+    malformed = tmp_path / "bad4.csv"
+    malformed.write_text("x,mu,sigma\n1,1,1\n2,0.5\n")
+    with pytest.raises(g.DomainError, match=r"malformed row \['2', '0.5'\]"):
+        g.model_from_csv(malformed)
+
+    with pytest.raises(g.DomainError, match="cannot read coefficient file"):
+        g.model_from_csv(tmp_path / "absent.csv")
