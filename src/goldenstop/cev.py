@@ -39,6 +39,7 @@ from .simulate import (
     MonteCarloEstimate,
     StoppingRule,
     _first_true,
+    _horizon_steps,
     _lane_blocks,
     _mean_se,
     _sharded,
@@ -239,7 +240,7 @@ def direct_stopped_samples(
         raise DomainError(f"need kappa > 1, got {kappa}")
     if n_paths < 1:
         raise DomainError(f"need n_paths >= 1, got {n_paths}")
-    n_max = int(math.ceil(horizon / step - 1e-9))
+    n_max = _horizon_steps(horizon, step)
     sqdt = math.sqrt(step)
     z0, sigma, p = float(z0), cev.sigma, 1.0 + cev.beta
 

@@ -24,6 +24,7 @@ import os
 import tempfile
 
 import click
+from click.core import ParameterSource
 
 from .bessel import (
     GOLDEN_RATIO,
@@ -205,7 +206,7 @@ def _parse_rule(text: str, model) -> StoppingRule:
     if kind == "drawdown":
         kappa = float(arg) if arg else cev_rule_threshold(CevModel(model.dim))
         return StoppingRule.drawdown_rule(kappa)
-    if kind in ("fixed", "fixed_time", "time"):
+    if kind == "fixed":
         return StoppingRule.fixed_time_rule(float(arg))
     if kind == "boundary":
         if not arg:
@@ -377,6 +378,8 @@ def lambda_cmd(ctx, dim):
 @click.pass_context
 def boundary_cmd(ctx, dim, **options):
     """Stopping boundary table: columns i, f, h and the ratio f/i."""
+    if options["ray"] and ctx.get_parameter_source("shots") is not ParameterSource.DEFAULT:
+        raise click.UsageError("--shots conflicts with --ray: it sets the shooting solver, which --ray skips")
     _run(ctx, _cmd_boundary, d=dim, **options)
 
 

@@ -22,8 +22,9 @@ functionals below are integrals against the Green kernel times m'.
 
 Bessel models (dimension d > 2, drift (d-1)/(2x), unit volatility) have
 closed forms throughout:  L(x) = -x^(2-d),  m'(x) = (2/(d-2)) x^(d-1),
-h(i) = 2^(1/(d-2)) i.  Custom models get their scale by integrating
-2 mu / sigma^2, see model_from_coefficients.
+h(i) = 2^(1/(d-2)) i.  A model built from its coefficients gets its scale
+by two cumulative quadratures on a log-x grid (2 mu / sigma^2, then the
+tail of exp(-E)), see model_from_coefficients.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import PchipInterpolator
+from scipy.integrate import cumulative_simpson, quad
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import DomainError, NumericalError, UnsupportedModelError
 
@@ -57,6 +58,10 @@ __all__ = [
 # Default adaptive-quadrature tolerances for every solver integral.
 QUAD_EPSABS = 1e-10
 QUAD_EPSREL = 1e-8
+
+# Nodes of the uniform log-x grid on which model_from_coefficients builds
+# the scale; about 2e-8 relative error in L up to d = 10 on the default domain.
+_SCALE_NODES = 8193
 
 
 def _integrate(g, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL) -> float:
@@ -286,29 +291,6 @@ def validate_model(model: DiffusionModel) -> list:
     return msgs
 
 
-def _pointwise(*sols):
-    """Elementwise evaluator of scalar ``solve_ivp`` dense outputs.
-
-    ``OdeSolution`` evaluates a step's polynomial by a matrix product whose
-    rounding depends on how many points share the call; Horner's rule on
-    each point's own step does not.  The solutions' steps must tile a range.
-    """
-    steps = sorted((q for sol in sols for q in sol.interpolants), key=lambda q: q.t_min)
-    t_min, t_old, h = (np.array([getattr(q, a) for q in steps]) for a in ("t_min", "t_old", "h"))
-    y_old = np.array([q.y_old[0] for q in steps])
-    coef = np.array([q.Q[0] for q in steps]).T
-
-    def evaluate(t):
-        s = np.clip(np.searchsorted(t_min, t, side="right") - 1, 0, len(steps) - 1)
-        x = (t - t_old[s]) / h[s]
-        acc = coef[-1][s]
-        for c in coef[-2::-1]:
-            acc = acc * x + c[s]
-        return y_old[s] + h[s] * (acc * x)
-
-    return evaluate
-
-
 def model_from_coefficients(
     drift: Callable,
     volatility: Callable,
@@ -317,19 +299,24 @@ def model_from_coefficients(
     x_max: Optional[float] = None,
     label: str = "custom",
 ) -> DiffusionModel:
-    """Build a model from coefficient functions by integrating the scale ODE.
+    """Build a model from coefficient functions by two cumulative quadratures.
 
-    Solves, on t = log x,
+    On a uniform grid in t = log x over [x_min, x_max], with mu and sigma
+    evaluated once on the whole grid as arrays, cumulative Simpson gives
 
-        E'(t)  = 2 mu(e^t) / sigma(e^t)^2 * e^t        E(log x_ref) = 0
-        T'(t)  = -exp(-E(t)) e^t                        T(log x_max) = 0
+        E(t) = int^t 2 mu(e^s) / sigma(e^s)^2 e^s ds          (upward)
+        T(t) = int_t^{log x_max} exp(-E(s)) e^s ds            (downward)
 
-    so T(x) = int_x^{x_max} exp(-E) dy, and normalises L(x) = -T(x)/T(x_ref)
-    (hence L(x_ref) = -1, L(x_max) = 0).  The tail above x_max is truncated;
-    pick x_max large enough that L has flattened.  Backward integration of T
-    avoids catastrophic cancellation near x_max.
+    so T(x) = int_x^{x_max} exp(-E) dy, and L(x) = -T(x)/T(x_ref) (hence
+    L(x_ref) = -1, L(x_max) = 0).  The tail above x_max is truncated; pick
+    x_max large enough that L has flattened.  Running T down from x_max
+    avoids catastrophic cancellation near x_max.  A constant in E cancels
+    in L; E is anchored at x_ref only to keep exp(-E) in range.
 
-    The scale inverse is by bisection on [x_min, x_max].
+    Both are cubic Hermite interpolants with the exact nodal slopes E' and
+    T' = -exp(-E) x; each point is evaluated on its own interval, so scale
+    and scale_deriv are elementwise.  The scale inverse is by bisection on
+    [x_min, x_max].
     """
     _require_positive("x_ref", x_ref)
     x_min = x_ref * 1e-6 if x_min is None else float(x_min)
@@ -339,45 +326,32 @@ def model_from_coefficients(
             f"need 0 < x_min < x_ref < x_max, got {x_min}, {x_ref}, {x_max}"
         )
 
-    t_min, t_ref, t_max = math.log(x_min), math.log(x_ref), math.log(x_max)
+    t_ref = math.log(x_ref)
+    t = np.linspace(math.log(x_min), math.log(x_max), _SCALE_NODES)
+    dt = t[1] - t[0]
+    xs = np.exp(t)
+    de = 2.0 * drift(xs) / volatility(xs) ** 2 * xs
+    if not np.all(np.isfinite(de)):
+        raise NumericalError("2 mu / sigma^2 is not finite on the grid; check the coefficients")
+    e = cumulative_simpson(de, dx=dt, initial=0.0)
+    e -= np.interp(t_ref, t, e)
+    dtail = np.exp(-e) * xs
+    tail = cumulative_simpson(dtail[::-1], dx=dt, initial=0.0)[::-1]
+    e_of_t = CubicHermiteSpline(t, e, de)
+    tail_of_t = CubicHermiteSpline(t, tail, -dtail)
 
-    def e_rhs(t, y):
-        x = math.exp(t)
-        return [2.0 * drift(x) / volatility(x) ** 2 * x]
-
-    sol_up = solve_ivp(e_rhs, (t_ref, t_max), [0.0], dense_output=True,
-                       rtol=1e-10, atol=1e-13, method="RK45")
-    sol_dn = solve_ivp(e_rhs, (t_ref, t_min), [0.0], dense_output=True,
-                       rtol=1e-10, atol=1e-13, method="RK45")
-    if not (sol_up.success and sol_dn.success):
-        raise NumericalError(
-            f"scale exponent integration failed: {sol_up.message} / {sol_dn.message}"
-        )
-
-    e_of_t = _pointwise(sol_up.sol, sol_dn.sol)
-
-    def tail_rhs(t, y):
-        return [-math.exp(-float(e_of_t(t))) * math.exp(t)]
-
-    sol_tail = solve_ivp(tail_rhs, (t_max, t_min), [0.0], dense_output=True,
-                         rtol=1e-10, atol=1e-13, method="RK45")
-    if not sol_tail.success:
-        raise NumericalError(f"scale tail integration failed: {sol_tail.message}")
-    tail = _pointwise(sol_tail.sol)
-
-    t_norm = float(tail(t_ref))
-    if t_norm <= 0.0:
-        raise NumericalError("scale tail came out nonpositive; check the coefficients")
+    t_norm = float(tail_of_t(t_ref))
+    if not (0.0 < t_norm < math.inf):
+        raise NumericalError("scale tail came out nonpositive or infinite; check the coefficients")
 
     def scale(x):
         x = np.asarray(x, dtype=float)
-        vals = -(tail(np.log(np.atleast_1d(x))) / t_norm)
+        vals = -(tail_of_t(np.log(np.atleast_1d(x))) / t_norm)
         return vals if x.ndim else float(vals[0])
 
     def scale_deriv(x):
         x = np.asarray(x, dtype=float)
-        t = np.log(np.atleast_1d(x))
-        vals = np.exp(-e_of_t(t)) / t_norm
+        vals = np.exp(-e_of_t(np.log(np.atleast_1d(x)))) / t_norm
         return vals if x.ndim else float(vals[0])
 
     lo_val, hi_val = float(scale(x_min)), float(scale(x_max * (1 - 1e-12)))

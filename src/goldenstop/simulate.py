@@ -270,6 +270,24 @@ def _ratio_of(rule, model: DiffusionModel) -> Optional[float]:
     return float(rule.kappa) if d == 3.0 else float(rule.kappa) ** (1.0 / (d - 2.0))
 
 
+def _steps(t: float, step: float) -> int:
+    """Steps of length ``step`` that reach time t >= 0 (0 at t = 0)."""
+    return int(math.ceil(t / step - 1e-9))
+
+
+def _horizon_steps(horizon: float, step: float) -> int:
+    """Step count of a pass to ``horizon``; raises DomainError unless the
+    step is finite and positive and the horizon finite and one step or more."""
+    if not (step > 0.0 and math.isfinite(step)):
+        raise DomainError(f"step={step} (horizon={horizon}) is not finite and positive; pass a step > 0")
+    if not (math.isfinite(horizon / step) and _steps(horizon, step) >= 1):
+        raise DomainError(
+            f"horizon={horizon} at step={step} is not a finite run of at least one step; "
+            "pass a finite horizon no shorter than the step"
+        )
+    return _steps(horizon, step)
+
+
 def _trigger(rule, model: DiffusionModel, step: float):
     """The rule's vectorised test ``hit(x, i, t)``: state x, running minimum
     i and step index t reached, all broadcast together."""
@@ -281,7 +299,7 @@ def _trigger(rule, model: DiffusionModel, step: float):
     if rule.variant == "boundary":
         return lambda x, i, t: x >= rule.boundary(i)
     if rule.variant == "fixed_time":
-        k_stop = int(math.ceil(rule.t / step - 1e-9)) if rule.t > 0.0 else 0
+        k_stop = _steps(rule.t, step)
         return lambda x, i, t: t >= k_stop
     return lambda x, i, t: i < rule.level
 
@@ -421,10 +439,7 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
     the paths [lo, hi) and returns their BatchResult, ``hi - lo`` wide."""
     if not (x0 > 0.0 and math.isfinite(x0)):
         raise DomainError(f"need x0 > 0, got {x0}")
-    if not (step > 0.0 and math.isfinite(step)):
-        raise DomainError(f"need step > 0, got {step}")
-    if not (horizon > 0.0):
-        raise DomainError(f"need horizon > 0, got {horizon}")
+    n_max = _horizon_steps(horizon, step)
     if scheme not in ("euler", "exact"):
         raise DomainError(f"unknown scheme {scheme!r}")
     if scheme == "exact" and model.kind != "bessel":
@@ -436,7 +451,6 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
 
     triggers = [_trigger(r, model, step) for r in rules]
     rule_ids = [r.rule_id for r in rules]
-    n_max = int(math.ceil(horizon / step - 1e-9))
 
     # rules that hold at t = 0 (fixed_time(0), a degenerate boundary) fire
     # there on every path with objective 0

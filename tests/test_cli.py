@@ -205,6 +205,38 @@ def test_bad_boundary_file_exit_2(tmp_path):
         assert f"error: {path}: {msg}" in res.stderr
 
 
+def test_rule_spells_fixed_time_one_way():
+    for text in ("fixed_time:1", "time:1"):
+        res = CliRunner().invoke(
+            main, ["simulate", "--rule", text, "--n-paths", "10", "--step", "0.01"]
+        )
+        assert res.exit_code == 2
+        assert "cannot parse rule" in res.stderr
+    res = CliRunner().invoke(
+        main, ["simulate", "--rule", "fixed:0.05", "--n-paths", "10", "--step", "0.01"]
+    )
+    assert res.exit_code == 0
+    assert _rows(res.output)[1][0].startswith("fixed_time(")
+
+
+def test_ray_rejects_shots():
+    for args, env in ((["--shots", "3"], {}), ([], {"GOLDENSTOP_BOUNDARY_SHOTS": "3"})):
+        res = CliRunner().invoke(main, ["boundary", "--ray", "--grid", "17", *args], env=env)
+        assert res.exit_code == 2
+        assert "--shots conflicts with --ray" in res.stderr
+        assert res.stdout == ""
+
+
+def test_horizon_without_a_finite_step_count_exit_2():
+    for cmd, horizon in (("simulate", "inf"), ("cev", "inf"), ("simulate", "1e-12")):
+        res = CliRunner().invoke(
+            main, [cmd, "--horizon", horizon, "--n-paths", "10", "--step", "0.01"]
+        )
+        assert res.exit_code == 2, res.output
+        assert f"error: horizon={float(horizon)} at step=0.01" in res.stderr
+        assert "Traceback" not in res.output
+
+
 def test_click_usage_error_exit_2():
     res = CliRunner().invoke(main, ["boundary", "--grid", "3"])
     assert res.exit_code == 2

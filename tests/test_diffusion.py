@@ -7,6 +7,7 @@ the martingale X_t^2 - 3t as (1/3 + 16*2/3 - 4)/3 = 7/3.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,17 +142,21 @@ def test_validate_model_flags_bad_scale():
         )
 
 
-def test_coefficient_pipeline_matches_closed_form():
-    """Scale built by integrating mu, sigma agrees with the power law."""
-    d = 5.0
+@pytest.mark.parametrize("d", [2.5, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0])
+def test_coefficient_pipeline_matches_closed_form(d):
+    """Scale built by integrating mu, sigma agrees with the power law cut
+    off at x_max = 1e6, L(x) = -(x^-nu - x_max^-nu)/(1 - x_max^-nu), and
+    its derivative, to 1e-7 relative on [1e-3, 1e3]; building it warns not."""
     ref = g.make_bessel_model(d)
-    m = g.model_from_coefficients(ref.drift, ref.volatility)
-    xs = np.geomspace(0.1, 20.0, 25)
-    L_num = np.asarray(m.scale(xs), dtype=float)
-    L_ref = np.asarray(ref.scale(xs), dtype=float)
-    assert np.max(np.abs(L_num / L_ref - 1.0)) < 1e-6
-    dL = np.asarray(m.scale_deriv(xs), dtype=float)
-    assert np.max(np.abs(dL / np.asarray(ref.scale_deriv(xs)) - 1.0)) < 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = g.model_from_coefficients(ref.drift, ref.volatility)
+    nu, cut = d - 2.0, 1e6 ** (2.0 - d)
+    xs = np.geomspace(1e-3, 1e3, 601)
+    L_ref = -(xs ** -nu - cut) / (1.0 - cut)
+    dL_ref = nu * xs ** (-nu - 1.0) / (1.0 - cut)
+    assert np.max(np.abs(np.asarray(m.scale(xs)) / L_ref - 1.0)) < 1e-7
+    assert np.max(np.abs(np.asarray(m.scale_deriv(xs)) / dL_ref - 1.0)) < 1e-7
     for v in (-3.0, -1.0, -0.04):
         x_back = float(m.scale_inverse(v))
         assert abs(float(m.scale(x_back)) - v) < 1e-10 * abs(v) + 1e-13

@@ -384,6 +384,29 @@ def test_bessel_euler_step_cannot_reach_the_floor():
     assert -ndtri(simulate._U_FLOOR) < 8.5
 
 
+def test_horizon_and_step_must_span_finite_steps():
+    """A step that is not finite and positive, or a horizon that is infinite,
+    nan or shorter than one step, is a DomainError naming both and the
+    remedy, in the engine and in the direct CEV route alike."""
+    model = g.make_bessel_model(3.0)
+    rule = g.StoppingRule.ratio_rule(2.0)
+    cev = g.CevModel(d=3.0, c_sigma=1.0)
+    for step, horizon, remedy in ((1e-3, math.inf, "finite horizon"),
+                                  (1e-3, math.nan, "finite horizon"),
+                                  (0.01, 1e-12, "no shorter than the step"),
+                                  (1e-3, 0.0, "no shorter than the step"),
+                                  (1e-300, 1e300, "finite horizon"),
+                                  (math.nan, 1.0, "step > 0"),
+                                  (-1e-3, 1.0, "step > 0"),
+                                  (math.inf, 1.0, "step > 0")):
+        for run in (lambda: simulate_rules(model, 1.0, [rule], 2, seed=0, step=step, horizon=horizon),
+                    lambda: g.direct_stopped_samples(cev, 1.0, 2.0, n_paths=2, seed=0,
+                                                     step=step, horizon=horizon)):
+            with pytest.raises(g.DomainError, match=remedy) as err:
+                run()
+            assert f"step={step}" in str(err.value) and f"horizon={horizon}" in str(err.value)
+
+
 def test_custom_model_rejections():
     model = _plunging_model()
     with pytest.raises(g.DomainError, match="Bessel-specific"):
