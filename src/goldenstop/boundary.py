@@ -179,15 +179,24 @@ def line_boundary(
     )
 
 
-def _inner_integral(model: DiffusionModel, i: float, f: float, li: float, lpi: float) -> float:
-    """J(i, f): quadrature of dc/di(i, y) (L(y) - L(i)) / (sigma^2 L')."""
+def _c(model: DiffusionModel, i, f) -> float:
+    """Cost c(i, f) = 1 - 2 L(f)/L(i); zero on the sign-change curve."""
+    return 1.0 - 2.0 * float(model.scale(f)) / float(model.scale(i))
+
+
+def _rhs_terms(model: DiffusionModel, i: float, f: float):
+    """(c, L(f) - L(i), sigma^2(f) L'(f), J(i, f)): the terms of both ODE forms."""
     L, Lp, sig = model.scale, model.scale_deriv, model.volatility
+    li = float(L(i))
+    lf = float(L(f))
+    lpi = float(Lp(i))
 
     def g(y):
         ly = float(L(y))
         return 2.0 * ly * lpi / li**2 * (ly - li) / (float(sig(y)) ** 2 * float(Lp(y)))
 
-    return _integrate(g, i, f)
+    s = float(sig(f)) ** 2 * float(Lp(f))
+    return 1.0 - 2.0 * lf / li, lf - li, s, _integrate(g, i, f)
 
 
 def boundary_ode_rhs(model: DiffusionModel, i: float, f: float) -> float:
@@ -199,80 +208,68 @@ def boundary_ode_rhs(model: DiffusionModel, i: float, f: float) -> float:
     """
     if not (0.0 < i < f) or not (math.isfinite(i) and math.isfinite(f)):
         raise DomainError(f"need 0 < i < f, got i={i}, f={f}")
-    li = float(model.scale(i))
-    lf = float(model.scale(f))
-    c = 1.0 - 2.0 * lf / li
+    c, n, s, J = _rhs_terms(model, i, f)
     if abs(c) < SINGULAR_C_TOL:
         raise SingularPointError(
             f"boundary ODE rhs is 0/0 on the sign-change curve (i={i:g}, f={f:g}); "
             "shots start there via the reciprocal form instead"
         )
-    lpi = float(model.scale_deriv(i))
-    J = _inner_integral(model, i, f, li, lpi)
-    sig_f = float(model.volatility(f))
-    lpf = float(model.scale_deriv(f))
-    return -sig_f**2 * lpf / (c * (lf - li)) * J
+    return -s / (c * n) * J
 
 
-class _Shot:
-    """One shot started on the sign-change curve, dense-evaluable."""
+def _shot(model: DiffusionModel, i_start: float, i_max: float, nodes: np.ndarray) -> np.ndarray:
+    """f at ``nodes`` (within [i_start, i_max]) along the shot started on
+    the sign-change curve at i_start.
 
-    def __init__(self, model: DiffusionModel, i_start: float, i_max: float):
-        self.i_start = float(i_start)
-        self.i_max = float(i_max)
-        self.h_start = float(h_curve(model, i_start))
-        L, Lp, sig = model.scale, model.scale_deriv, model.volatility
+    Raises DivergenceError (with the blow-up abscissa) if f exceeds
+    DIVERGENCE_FACTOR * h(i) before reaching i_max.
+    """
+    i_start, i_max = float(i_start), float(i_max)
+    h0 = float(h_curve(model, i_start))
 
-        def inv_rhs(f, y):
-            i = y[0]
-            # a trial stage left the domain, or inherited nan from one that
-            # did; nan rejects the step
-            if not i > 0.0:
-                return [math.nan]
-            li = float(L(i))
-            lf = float(L(f))
-            c = 1.0 - 2.0 * lf / li
-            J = _inner_integral(model, i, f, li, float(Lp(i)))
-            return [-c * (lf - li) / (float(sig(f)) ** 2 * float(Lp(f)) * J)]
+    def inv_rhs(f, y):
+        i = y[0]
+        # a trial stage left the domain, or inherited nan from one that
+        # did; nan rejects the step
+        if not i > 0.0:
+            return [math.nan]
+        c, n, s, J = _rhs_terms(model, i, f)
+        return [-c * n / (s * J)]
 
-        def ev_handoff(f, y):
-            return (1.0 - 2.0 * float(L(f)) / float(L(y[0]))) - C_HANDOFF
+    def ev_handoff(f, y):
+        return _c(model, y[0], f) - C_HANDOFF
 
-        ev_handoff.terminal = True
-        ev_handoff.direction = 1.0
+    ev_handoff.terminal = True
+    ev_handoff.direction = 1.0
 
-        def ev_overrun(f, y):
-            return y[0] - self.i_max
+    def ev_overrun(f, y):
+        return y[0] - i_max
 
-        ev_overrun.terminal = True
+    ev_overrun.terminal = True
 
-        h0 = self.h_start
-        sol1 = solve_ivp(
-            inv_rhs,
-            (h0, 100.0 * h0),
-            [self.i_start],
-            events=[ev_handoff, ev_overrun],
-            dense_output=True,
-            rtol=1e-9,
-            atol=1e-13 * self.i_start,
-            method="RK45",
+    sol1 = solve_ivp(
+        inv_rhs,
+        (h0, 100.0 * h0),
+        [i_start],
+        events=[ev_handoff, ev_overrun],
+        dense_output=True,
+        rtol=1e-9,
+        atol=1e-13 * i_start,
+        method="RK45",
+    )
+    if sol1.status == -1:
+        raise NumericalError(f"shot start integration failed: {sol1.message}")
+    if sol1.status != 1:
+        raise NumericalError(
+            "shot never left the singular neighbourhood "
+            f"(c < {C_HANDOFF} up to f = {100.0 * h0:g})"
         )
-        if sol1.status == -1:
-            raise NumericalError(f"shot start integration failed: {sol1.message}")
-        if sol1.status != 1:
-            raise NumericalError(
-                "shot never left the singular neighbourhood "
-                f"(c < {C_HANDOFF} up to f = {100.0 * h0:g})"
-            )
-        self._sol1 = sol1
-        if len(sol1.t_events[1]):
-            # handoff region covers the whole requested abscissa range
-            self.i_handoff = self.i_max
-            self.f_handoff = float(sol1.t_events[1][0])
-            self._sol2 = None
-            return
-        self.f_handoff = float(sol1.t_events[0][0])
-        self.i_handoff = float(sol1.y_events[0][0][0])
+    sol2 = None
+    if len(sol1.t_events[1]):
+        # handoff region covers the whole requested abscissa range
+        i_handoff, f_handoff = i_max, float(sol1.t_events[1][0])
+    else:
+        i_handoff, f_handoff = float(sol1.y_events[0][0][0]), float(sol1.t_events[0][0])
 
         def dir_rhs(i, y):
             return [boundary_ode_rhs(model, i, y[0])]
@@ -284,19 +281,19 @@ class _Shot:
         ev_diverge.direction = 1.0
 
         def ev_singular(i, y):
-            return (1.0 - 2.0 * float(L(y[0])) / float(L(i))) - 0.4 * C_HANDOFF
+            return _c(model, i, y[0]) - 0.4 * C_HANDOFF
 
         ev_singular.terminal = True
         ev_singular.direction = -1.0
 
         sol2 = solve_ivp(
             dir_rhs,
-            (self.i_handoff, self.i_max),
-            [self.f_handoff],
+            (i_handoff, i_max),
+            [f_handoff],
             events=[ev_diverge, ev_singular],
             dense_output=True,
             rtol=1e-9,
-            atol=1e-13 * self.h_start,
+            atol=1e-13 * h0,
             method="RK45",
         )
         if sol2.status == -1:
@@ -304,39 +301,40 @@ class _Shot:
         if len(sol2.t_events[0]):
             at = float(sol2.t_events[0][0])
             raise DivergenceError(
-                f"shot from i={self.i_start:g} diverged (f > {DIVERGENCE_FACTOR:g} h) "
+                f"shot from i={i_start:g} diverged (f > {DIVERGENCE_FACTOR:g} h) "
                 f"at i={at:g}",
                 blow_up_at=at,
             )
         if len(sol2.t_events[1]):
             at = float(sol2.t_events[1][0])
             raise NumericalError(
-                f"shot from i={self.i_start:g} fell back to the singular curve at i={at:g}"
+                f"shot from i={i_start:g} fell back to the singular curve at i={at:g}"
             )
-        self._sol2 = sol2
 
-    def eval(self, nodes: np.ndarray) -> np.ndarray:
-        """f along the shot at the given abscissae (must lie in [i_start, i_max])."""
-        nodes = np.asarray(nodes, dtype=float)
-        if np.any(nodes < self.i_start * (1 - 1e-12)) or np.any(nodes > self.i_max * (1 + 1e-12)):
-            raise DomainError("shot evaluated outside its abscissa range")
-        out = np.empty_like(nodes)
-        for k, i in enumerate(nodes):
-            if i <= self.i_start:
-                out[k] = self.h_start
-            elif i < self.i_handoff:
-                # invert the monotone i(f) of the start phase
-                sol = self._sol1
+    def i_gap(f, target):  # the start phase's monotone i(f), inverted by brentq
+        return float(sol1.sol(f)[0]) - target
 
-                def g(f):
-                    return float(sol.sol(f)[0]) - i
+    out = np.empty_like(nodes)
+    for k, i in enumerate(nodes):
+        if i <= i_start:
+            out[k] = h0
+        elif i < i_handoff:
+            out[k] = brentq(i_gap, h0, f_handoff, args=(i,), xtol=1e-15 * f_handoff)
+        elif sol2 is None:
+            out[k] = f_handoff
+        else:
+            out[k] = float(sol2.sol(min(i, sol2.t[-1]))[0])
+    return out
 
-                out[k] = brentq(g, self.h_start, self.f_handoff, xtol=1e-15 * self.f_handoff)
-            elif self._sol2 is None:
-                out[k] = self.f_handoff
-            else:
-                out[k] = float(self._sol2.sol(min(i, self._sol2.t[-1]))[0])
-        return out
+
+def _grid(model: DiffusionModel, i_lo: float, i_max: float, n_grid: int, name: str):
+    """Geometric grid of n_grid >= 16 nodes over [i_lo, i_max] and h on it."""
+    if not (0.0 < i_lo < i_max):
+        raise DomainError(f"need 0 < {name} < i_max, got {name}={i_lo}, i_max={i_max}")
+    if n_grid < 16:
+        raise DomainError(f"need n_grid >= 16, got {n_grid}")
+    grid = np.geomspace(i_lo, i_max, n_grid)
+    return grid, np.asarray(h_curve(model, grid), dtype=float)
 
 
 def shoot_from_h(
@@ -345,20 +343,14 @@ def shoot_from_h(
     """Integrate one shot of the boundary ODE started on the sign-change curve.
 
     The shot satisfies f(i_n) = h(i_n) exactly and is returned on a
-    geometric grid over [i_n, i_max].  Raises DivergenceError (with the
-    blow-up abscissa) if f exceeds 1e6 h(i) before reaching i_max.
+    geometric grid of n_grid >= 16 nodes over [i_n, i_max].  Raises
+    DivergenceError (with the blow-up abscissa) if f exceeds
+    DIVERGENCE_FACTOR = 1e6 times h(i) before reaching i_max.
     """
-    if not (0.0 < i_n < i_max):
-        raise DomainError(f"need 0 < i_n < i_max, got i_n={i_n}, i_max={i_max}")
-    if n_grid < 16:
-        raise DomainError(f"need n_grid >= 16, got {n_grid}")
-    shot = _Shot(model, i_n, i_max)
-    ig = np.geomspace(i_n, i_max, n_grid)
-    fg = shot.eval(ig)
-    hg = np.asarray(h_curve(model, ig), dtype=float)
+    ig, hg = _grid(model, i_n, i_max, n_grid, "i_n")
     return Boundary(
         i_grid=ig,
-        f_grid=fg,
+        f_grid=_shot(model, i_n, i_max, ig),
         h_grid=hg,
         provenance=f"shot(i_n={i_n:g})",
     )
@@ -373,63 +365,40 @@ def minimal_boundary(
 ) -> Boundary:
     """Minimal solution of the boundary ODE over [i_min, i_max] by shot limit.
 
-    Up to ``n_shots`` shots start on the sign-change curve at abscissae
-    i_min * 10^-1, 10^-2, ... pushed toward 0 and increase monotonically
-    toward the minimal solution; iteration stops once two successive shots
-    agree to SHOT_REL_TOL = 1e-6 in relative sup-norm on the common grid.
-    All shots diverging raises NoMinimalSolutionError with the blow-up
-    abscissae.
+    Shot k = 1, ..., n_shots starts on the sign-change curve at
+    i_min * 10^-k; the shots increase toward the minimal solution.  Each
+    shot after the first is compared with its predecessor on the common
+    grid: convergence is tested first (relative sup-norm gap below
+    SHOT_REL_TOL = 1e-6 ends the limit), then monotonicity (a drop of more
+    than 1e-9 raises ConsistencyError).  The first divergent shot rules the
+    limit out and raises NoMinimalSolutionError naming the shot's start and
+    its blow-up abscissa (also in ``blow_up_points``).  No convergence after
+    n_shots warns and returns the deepest shot.
     """
-    if not (0.0 < i_min < i_max):
-        raise DomainError(f"need 0 < i_min < i_max, got {i_min}, {i_max}")
-    if n_grid < 16:
-        raise DomainError(f"need n_grid >= 16, got {n_grid}")
+    grid, hg = _grid(model, i_min, i_max, n_grid, "i_min")
     if n_shots < 1:
         raise DomainError(f"need n_shots >= 1, got {n_shots}")
-    starts = [i_min * 10.0**-k for k in range(1, n_shots + 1)]
-
-    grid = np.geomspace(i_min, i_max, n_grid)
-    hg = np.asarray(h_curve(model, grid), dtype=float)
-
-    prev = None
-    blow_ups = []
-    n_diverged = 0
-    n_used = 0
-    converged = False
-    fg = None
-    for start in starts:
+    prev, converged = None, False
+    for n_used in range(1, n_shots + 1):
+        start = i_min * 10.0**-n_used
         try:
-            shot = _Shot(model, start, i_max)
+            fg = _shot(model, start, i_max, grid)
         except DivergenceError as exc:
-            # the shot family increases toward the limit, so one divergent
-            # shot already rules the limit out; keep going only to report
-            # the remaining blow-up points
-            n_diverged += 1
-            if exc.blow_up_at is not None:
-                blow_ups.append(exc.blow_up_at)
-            continue
-        vals = shot.eval(grid)
-        n_used += 1
+            raise NoMinimalSolutionError(
+                f"shot from i={start:g} diverged at i={exc.blow_up_at:g} before reaching "
+                f"i_max={i_max:g}; no minimal solution exists on [{i_min:g}, {i_max:g}]",
+                blow_up_points=[exc.blow_up_at],
+            ) from exc
         if prev is not None:
-            if np.any(vals < prev * (1.0 - 1e-9)):
+            if float(np.max(np.abs(fg - prev) / fg)) < SHOT_REL_TOL:
+                converged = True
+                break
+            if np.any(fg < prev * (1.0 - 1e-9)):
                 raise ConsistencyError(
                     "shot family is not monotone increasing on the common grid "
                     f"(start i={start:g})"
                 )
-            gap = float(np.max(np.abs(vals - prev) / vals))
-            if gap < SHOT_REL_TOL:
-                fg = vals
-                converged = True
-                break
-        prev = vals
-        fg = vals
-    if n_diverged:
-        word = "every" if n_used == 0 else f"{n_diverged} of {n_diverged + n_used}"
-        raise NoMinimalSolutionError(
-            f"{word} shot(s) diverged before reaching i_max; no minimal solution "
-            f"exists on [{i_min:g}, {i_max:g}]",
-            blow_up_points=blow_ups,
-        )
+        prev = fg
     if not converged:
         warnings.warn(
             f"shot limit not converged to {SHOT_REL_TOL:g} after {n_used} shots; "
@@ -531,7 +500,7 @@ def free_boundary_residuals(
     vm, v0, vp = V(i, x - dx), V(i, x), V(i, x + dx)
     v_x = (vp - vm) / (2.0 * dx)
     v_xx = (vp - 2.0 * v0 + vm) / dx**2
-    c = 1.0 - 2.0 * float(model.scale(x)) / float(model.scale(i))
+    c = _c(model, i, x)
     pde = float(model.drift(x)) * v_x + 0.5 * float(model.volatility(x)) ** 2 * v_xx + c
 
     # smooth fit at the boundary: true value vanishes beyond f(i)

@@ -17,7 +17,7 @@ check where `value` is a minimum z-score that must stay *above*
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,13 +56,7 @@ class CheckResult:
     detail: str
 
     def row(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 # Siegmund's constant -zeta(1/2)/sqrt(2 pi): a crossing monitored on a grid

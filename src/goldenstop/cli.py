@@ -409,6 +409,11 @@ def distribution_cmd(ctx, dim, **options):
     _run(ctx, _cmd_distribution, d=dim, **options)
 
 
+# simulate options that only a plain estimate reads, as (parameter, flag)
+_PLAIN_ONLY = (("dim", "--dim"), ("x0", "--x0"), ("rules", "--rule"), ("horizon", "--horizon"),
+               ("scheme", "--scheme"), ("bridge", "--bridge/--no-bridge"))
+
+
 @main.command("simulate")
 @_dim_option
 @click.option("--x0", type=float, default=1.0, show_default=True,
@@ -430,14 +435,23 @@ def distribution_cmd(ctx, dim, **options):
 @click.option("--check", is_flag=True, default=False,
               help="Run the statistical certification suite instead of a plain "
                    "estimate; exit code 4 if any check fails.  Only --n-paths, "
-                   "--step and --seed apply to the suite; --dim, --x0, --rule, "
-                   "--horizon, --scheme and --bridge are ignored.")
+                   "--step and --seed apply to the suite; setting --dim, --x0, "
+                   "--rule, --horizon, --scheme or --bridge/--no-bridge with it "
+                   "is a usage error.")
 @click.option("--checks", "check_groups", multiple=True,
               help="Run only these groups of the suite (golden-rule, future-min, "
                    "cev); repeatable; implies --check.")
 @click.pass_context
 def simulate_cmd(ctx, dim, **options):
     """Monte Carlo objective estimates, or the statistical check suite."""
+    if options["check"] or options["check_groups"]:
+        ignored = [flag for name, flag in _PLAIN_ONLY
+                   if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+        if ignored:
+            raise click.UsageError(
+                f"{', '.join(ignored)} cannot be combined with --check/--checks: "
+                "the suite fixes its own models, rules and horizons"
+            )
     _run(ctx, _cmd_simulate, seed=ctx.obj["seed"], d=dim, **options)
 
 

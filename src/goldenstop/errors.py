@@ -55,8 +55,8 @@ class DivergenceError(NumericalError):
 
 
 class NoMinimalSolutionError(NumericalError):
-    """Every shot diverged: no minimal solution of the boundary ODE exists
-    on the requested interval."""
+    """A shot of the family diverged; the shots increase toward the minimal
+    solution, so none exists on the requested interval."""
 
     def __init__(self, message: str, blow_up_points: list[float] | None = None):
         super().__init__(message)

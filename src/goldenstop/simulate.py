@@ -58,7 +58,7 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -194,17 +194,8 @@ class MonteCarloEstimate:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "step": self.step,
-            "rule_id": self.rule_id,
-            "horizon": self.horizon,
-            "truncated_fraction": self.truncated_fraction,
-        }
-        out.update(self.extra)
+        out = asdict(self)
+        out.update(out.pop("extra"))
         return out
 
 

@@ -14,8 +14,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import goldenstop as g
+from goldenstop import boundary as gb
 
 
 def _m3():
@@ -76,6 +78,41 @@ def test_minimal_boundary_recovers_ray():
     assert np.max(np.abs(ratios - lam)) < 1e-9
     # h column carries the sign curve
     assert np.allclose(b.h_grid, 2.0 * b.i_grid, rtol=1e-12, atol=0)
+
+
+def test_coefficient_minimal_boundary_converges_at_d8():
+    # successive shots agree to ~2e-9 but the deeper one sits a noise-level
+    # drop below its predecessor somewhere: that is convergence, not a
+    # broken family
+    m8 = g.make_bessel_model(8.0)
+    b = g.minimal_boundary(g.model_from_coefficients(m8.drift, m8.volatility), 0.5, 2.0)
+    assert "converged=True" in b.provenance
+    assert np.max(np.abs(b.f_grid - g.bessel_lambda(8.0) * b.i_grid)) < 1e-6
+
+
+def test_first_divergent_shot_ends_the_family(monkeypatch):
+    calls = []
+
+    def counting_solve_ivp(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(gb, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(gb, "DIVERGENCE_FACTOR", 1.2)
+    with pytest.raises(g.NoMinimalSolutionError, match=r"shot from i=0\.05 diverged at i=") as info:
+        g.minimal_boundary(_m3(), 0.5, 2.0)
+    # both phases of the first shot, no further shot
+    assert len(calls) == 2
+    cause = info.value.__cause__
+    assert isinstance(cause, g.DivergenceError)
+    assert info.value.blow_up_points == [cause.blow_up_at]
+    assert 0.05 < cause.blow_up_at < 0.5
+
+
+def test_minimal_boundary_warns_when_not_converged():
+    with pytest.warns(UserWarning, match="not converged"):
+        b = g.minimal_boundary(_m3(), 0.5, 2.0, n_shots=1)
+    assert b.provenance == "minimal-limit(n_shots=1, converged=False)"
 
 
 def test_minimal_boundary_start_validation():

@@ -441,6 +441,31 @@ def test_checks_implies_check(monkeypatch):
     assert seen == {"checks": dict(groups=("cev",), n_paths=None, seed=42, step=None)}
 
 
+def test_check_mode_rejects_plain_estimate_options(monkeypatch):
+    # the suite fixes its own models, rules and horizons: an option it would
+    # ignore exits 2 naming it, whether given as a flag or an env variable
+    ran = []
+    monkeypatch.setattr("goldenstop.cli.run_checks", lambda **kw: ran.append(kw) or [])
+    res = CliRunner().invoke(
+        main,
+        ["simulate", "--checks", "cev", "--n-paths", "64", "--step", "0.01", "--x0", "5",
+         "--rule", "ratio:9", "--horizon", "1", "--no-bridge"],
+    )
+    assert res.exit_code == 2
+    assert "--x0, --rule, --horizon, --bridge/--no-bridge cannot be combined" in res.stderr
+    for args, env in ((["--dim", "4"], {}), ([], {"GOLDENSTOP_SIMULATE_SCHEME": "exact"})):
+        res = CliRunner().invoke(main, ["simulate", "--check", *args], env=env)
+        assert res.exit_code == 2
+        assert ("--dim" if args else "--scheme") in res.stderr
+    assert ran == []
+    # the options the suite reads keep working
+    res = CliRunner().invoke(
+        main, ["--seed", "5", "simulate", "--checks", "cev", "--n-paths", "64", "--step", "0.01"]
+    )
+    assert res.exit_code == 0
+    assert ran == [dict(groups=("cev",), n_paths=64, seed=5, step=0.01)]
+
+
 def test_unknown_subcommand_exit_2():
     res = CliRunner().invoke(main, ["frobnicate"])
     assert res.exit_code == 2

@@ -261,6 +261,35 @@ def test_drawdown_stopped_law_is_the_mapped_ratio_law():
     assert ks_d == ks_r
 
 
+@pytest.fixture(scope="module")
+def shot_limit3():
+    """The d = 3 shot-limit boundary: within 1e-9 of the ray lam(3) i,
+    but a monotone-cubic grid, so evaluation and inversion interpolate."""
+    b = g.minimal_boundary(g.make_bessel_model(3.0), 0.05, 4.0)
+    assert b.ratio is None
+    return b
+
+
+def test_shot_limit_stopped_cdf_is_the_ratio_law(shot_limit3):
+    model = g.make_bessel_model(3.0)
+    dist = g.make_stopped_distribution(3.0, LAM3, 1.0)
+    for y in np.linspace(0.2, 2.6, 13):
+        got = g.stopped_cdf_general(model, shot_limit3, 1.0, float(y))
+        assert abs(got - float(g.stopped_cdf(dist, y))) < 1e-9, y
+
+
+def test_shot_limit_stopped_sample_is_the_ratio_sample(shot_limit3):
+    # the boundary rule triggers on the same steps as the ray it approximates,
+    # and its KS distance reads the quadrature law through the PCHIP inverse
+    model = g.make_bessel_model(3.0)
+    kw = dict(n_paths=300, seed=7, step=1e-2, horizon=20.0)
+    s_b, ks_b = g.sample_stopped_distribution(
+        model, 1.0, g.StoppingRule.boundary_rule(shot_limit3), **kw)
+    s_r, ks_r = g.sample_stopped_distribution(model, 1.0, g.StoppingRule.ratio_rule(LAM3), **kw)
+    assert np.array_equal(s_b, s_r)
+    assert abs(ks_b - ks_r) < 1e-9
+
+
 def test_rule_validation():
     with pytest.raises(g.DomainError):
         g.StoppingRule.ratio_rule(1.0)
