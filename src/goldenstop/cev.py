@@ -36,14 +36,13 @@ from .bessel import bessel_lambda
 from .diffusion import make_bessel_model
 from .errors import DomainError
 from .simulate import (
-    MonteCarloEstimate,
     StoppingRule,
+    _check_seed,
     _first_true,
     _horizon_steps,
     _lane_blocks,
     _mean_se,
     _sharded,
-    estimate_objective,
     simulate_rules,
 )
 
@@ -55,8 +54,6 @@ __all__ = [
     "retracement_fraction",
     "FibonacciLevels",
     "fibonacci_levels",
-    "simulate_cev_objective",
-    "transformed_stopped_samples",
     "direct_stopped_samples",
     "martingale_defect_table",
 ]
@@ -157,62 +154,6 @@ def fibonacci_levels(n: int) -> FibonacciLevels:
     )
 
 
-def simulate_cev_objective(
-    cev: CevModel,
-    z0: float,
-    rule: StoppingRule,
-    n_paths: int = 50_000,
-    seed: int = 42,
-    step: float = 1e-4,
-    horizon: float = 50.0,
-    scheme: str = "euler",
-    bridge: bool = True,
-) -> MonteCarloEstimate:
-    """Objective of a drawdown rule on the price, via the Bessel source.
-
-    Simulates X at x0 = K^{-1}(z0); the drawdown trigger S >= kappa Z is
-    evaluated as X >= kappa^(1/(d-2)) I, which is the same event exactly
-    (at d=3 the exponent is 1 and the two rules are step-identical by
-    construction).  The objective accumulates on the source side.
-    """
-    if rule.variant != "drawdown":
-        raise DomainError(f"expected a drawdown rule, got {rule.variant!r}")
-    if not (z0 > 0.0) or not math.isfinite(z0):
-        raise DomainError(f"need z0 > 0, got {z0}")
-    x0 = cev_inverse_transform(cev, z0)
-    model = make_bessel_model(cev.d)
-    return estimate_objective(
-        model, x0, rule, n_paths=n_paths, seed=seed, step=step,
-        horizon=horizon, scheme=scheme, bridge=bridge,
-    )
-
-
-def transformed_stopped_samples(
-    cev: CevModel,
-    z0: float,
-    kappa: float,
-    n_paths: int = 10_000,
-    seed: int = 42,
-    step: float = 1e-3,
-    horizon: float = 30.0,
-    scheme: str = "euler",
-    bridge: bool = True,
-):
-    """Stopped prices from Bessel paths mapped through K (reference route).
-
-    Returns (sorted stopped-Z sample, truncated count).
-    """
-    x0 = cev_inverse_transform(cev, z0)
-    model = make_bessel_model(cev.d)
-    res = simulate_rules(
-        model, x0, [StoppingRule.drawdown_rule(kappa)], n_paths,
-        seed=seed, step=step, horizon=horizon, scheme=scheme, bridge=bridge,
-    )
-    ok = ~res.truncated[0]
-    z = cev_transform(cev, res.x_stop[0, ok])
-    return np.sort(z), int((~ok).sum())
-
-
 def direct_stopped_samples(
     cev: CevModel,
     z0: float,
@@ -225,8 +166,9 @@ def direct_stopped_samples(
     """Stopped prices from direct Euler on dZ = sigma Z^(1+beta) dB.
 
     Independent discretisation route used to cross-check the transformed
-    sampler; shares the per-path stream contract (two uniforms per step,
-    the second unused) but nothing else with the Bessel engine.  The
+    route (the stopped states of a Bessel drawdown pass mapped through K);
+    shares the per-path stream contract (two uniforms per step, the second
+    unused) but nothing else with the Bessel engine.  The
     scheme floors Z at 1e-10 where the volatility vanishes (absorption);
     the trigger S >= kappa Z fires long before that in practice.  Paths
     whose price overflows (too coarse a step) are left out of the sample,
@@ -240,6 +182,7 @@ def direct_stopped_samples(
         raise DomainError(f"need kappa > 1, got {kappa}")
     if n_paths < 1:
         raise DomainError(f"need n_paths >= 1, got {n_paths}")
+    seed = _check_seed(seed)
     n_max = _horizon_steps(horizon, step)
     sqdt = math.sqrt(step)
     z0, sigma, p = float(z0), cev.sigma, 1.0 + cev.beta

@@ -250,8 +250,9 @@ def cev_checks(
       decisions on every path (the trigger events coincide exactly, not
       just in law);
     - cev-two-route-ks: the drawdown row's stopped prices (the transformed
-      route, equal by the stream contract to `transformed_stopped_samples`
-      with bridge=False) and those of direct Euler on the price SDE,
+      route: `cev_transform` of the stopped states of the paths that did
+      not reach the horizon, equal by the stream contract to those of a
+      one-rule drawdown pass) and those of direct Euler on the price SDE,
       independently seeded, must agree to two-sample KS <= 0.05.  Both
       routes monitor extrema on the shared grid, so the comparison
       isolates the transform and the two discretisations.

@@ -252,7 +252,7 @@ def _cmd_simulate(fmt, seed, d, x0, rules, n_paths, step, horizon, scheme, bridg
         bridge=bridge,
     )
     if fmt == "json":
-        text = _json_text({"estimates": [e.to_dict() for e in cmp.estimates]})
+        text = _json_text({"estimates": cmp.rows()})
     else:
         rows = [
             [e.rule_id, _g(e.mean), _g(e.std_error), str(e.n_paths), str(e.seed), _g(e.step)]
@@ -354,6 +354,16 @@ _dim_option = click.option(
 )
 
 
+def _path_options(f):
+    """--horizon, --scheme and --bridge/--no-bridge, shared by simulate and cev."""
+    f = click.option("--bridge/--no-bridge", default=True, show_default=True,
+                     help="Sample sub-step minima from the diffusion bridge.")(f)
+    f = click.option("--scheme", type=click.Choice(["euler", "exact"]), default="euler",
+                     show_default=True, help="Path discretisation scheme.")(f)
+    return click.option("--horizon", type=float, default=50.0, show_default=True,
+                        help="Hard simulation horizon (time units).")(f)
+
+
 @main.command("lambda")
 @_dim_option
 @click.pass_context
@@ -426,12 +436,7 @@ _PLAIN_ONLY = (("dim", "--dim"), ("x0", "--x0"), ("rules", "--rule"), ("horizon"
               help="Monte Carlo sample size.  [default: 50000]")
 @click.option("--step", type=float, default=None,
               help="Time step of the scheme (time units).  [default: 0.0001]")
-@click.option("--horizon", type=float, default=50.0, show_default=True,
-              help="Hard simulation horizon (time units).")
-@click.option("--scheme", type=click.Choice(["euler", "exact"]), default="euler",
-              show_default=True, help="Path discretisation scheme.")
-@click.option("--bridge/--no-bridge", default=True, show_default=True,
-              help="Sample sub-step minima from the diffusion bridge.")
+@_path_options
 @click.option("--check", is_flag=True, default=False,
               help="Run the statistical certification suite instead of a plain "
                    "estimate; exit code 4 if any check fails.  Only --n-paths, "
@@ -468,12 +473,7 @@ def simulate_cmd(ctx, dim, **options):
               show_default=True, help="Monte Carlo sample size.")
 @click.option("--step", type=float, default=1e-4, show_default=True,
               help="Time step of the scheme (time units).")
-@click.option("--horizon", type=float, default=50.0, show_default=True,
-              help="Hard simulation horizon (time units).")
-@click.option("--scheme", type=click.Choice(["euler", "exact"]), default="euler",
-              show_default=True, help="Path discretisation scheme.")
-@click.option("--bridge/--no-bridge", default=True, show_default=True,
-              help="Sample sub-step minima from the diffusion bridge.")
+@_path_options
 @click.pass_context
 def cev_cmd(ctx, dim, **options):
     """Objective sweep over drawdown thresholds on the price side."""

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, quad
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from .errors import DomainError, NumericalError, UnsupportedModelError
+from .errors import DomainError, NumericalError, UnsupportedModelError, _caller_stacklevel
 
 __all__ = [
     "DiffusionModel",
@@ -251,8 +251,10 @@ def validate_model(model: DiffusionModel) -> list:
     """Spot-check the scale normalisation on a 9-point log grid; warn, never raise.
 
     Returns the list of warning messages (empty when everything looks
-    consistent with a transient model normalised to L(inf) = 0).
+    consistent with a transient model normalised to L(inf) = 0).  The
+    warnings name the line that called into this module.
     """
+    level = _caller_stacklevel(__name__)
     msgs = []
     lo, hi = model.domain
     lo_p = max(lo, 1e-12) if lo <= 0 else lo
@@ -263,7 +265,7 @@ def validate_model(model: DiffusionModel) -> list:
     except Exception as exc:  # pragma: no cover - defensive
         msgs.append(f"scale evaluation failed on probe grid: {exc}")
         for m in msgs:
-            warnings.warn(m, stacklevel=2)
+            warnings.warn(m, stacklevel=level)
         return msgs
     if np.any(Ls >= 0.0):
         msgs.append("scale function is not strictly negative on the probe grid")
@@ -287,7 +289,7 @@ def validate_model(model: DiffusionModel) -> list:
         if not math.isclose(back, float(x_probe), rel_tol=1e-8):
             msgs.append(f"scale_inverse(scale(x)) != x at x={x_probe:g} (got {back:g})")
     for m in msgs:
-        warnings.warn(m, stacklevel=2)
+        warnings.warn(m, stacklevel=level)
     return msgs
 
 

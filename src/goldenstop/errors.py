@@ -9,6 +9,8 @@ exception: the CLI sets exit code 4 from the returned check rows.
 
 from __future__ import annotations
 
+import sys
+
 __all__ = [
     "GoldenstopError",
     "DomainError",
@@ -71,3 +73,12 @@ class ConsistencyError(NumericalError):
 class SchemeError(NumericalError):
     """Discretisation scheme produced an invalid state (nonpositive
     coordinate outside the guarded region)."""
+
+
+def _caller_stacklevel(module: str) -> int:
+    """`warnings.warn` stacklevel, called from the warning function's own
+    frame, that names the first caller outside the module named `module`."""
+    frame, level = sys._getframe(2), 2
+    while frame.f_back is not None and frame.f_globals.get("__name__") == module:
+        frame, level = frame.f_back, level + 1
+    return level

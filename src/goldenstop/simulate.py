@@ -69,7 +69,7 @@ from scipy.stats import kstest
 from .bessel import make_stopped_distribution, stopped_cdf, stopped_cdf_general
 from .boundary import Boundary
 from .diffusion import DiffusionModel
-from .errors import DomainError, SchemeError
+from .errors import DomainError, SchemeError, _caller_stacklevel
 
 __all__ = [
     "StoppingRule",
@@ -680,7 +680,8 @@ def compare_rules(
 
     Truncated paths (horizon hit first) contribute their accumulated
     objective; each rule whose truncated fraction exceeds 1% draws its own
-    warning, since its estimate is then noticeably horizon-biased.
+    warning, since its estimate is then noticeably horizon-biased.  The
+    warning names the line that called into this module.
     """
     res = simulate_rules(
         model, x0, rules, n_paths, seed=seed, step=step, horizon=horizon,
@@ -694,7 +695,7 @@ def compare_rules(
             warnings.warn(
                 f"{trunc:.1%} of paths hit the horizon before the rule {rule_id} "
                 "fired; the estimate is horizon-biased",
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(__name__),
             )
         ests.append(MonteCarloEstimate(
             mean=mean, std_error=se, n_paths=n_paths, seed=seed, step=step,

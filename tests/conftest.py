@@ -1,0 +1,43 @@
+"""Tier-1 footprint: engine passes, path-steps stepped, source lines.
+
+Every Monte Carlo pass runs through ``simulate._sharded`` (``cev`` imports
+the same function), so a session-wide wrapper in both modules counts the
+passes and adds the ``path_steps_stepped`` of each result that carries
+it.  Tests that patch ``_sharded`` themselves wrap this wrapper and still
+see every call.  The totals and the line count of ``src/goldenstop/*.py``
+are printed as one line at the end of the run; no test reads them.
+"""
+
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "goldenstop"
+footprint = {"passes": 0, "path_steps": 0}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _count_engine_passes():
+    from goldenstop import cev, simulate
+
+    sharded = simulate._sharded
+
+    def counting(run, n_paths):
+        footprint["passes"] += 1
+        out = sharded(run, n_paths)
+        footprint["path_steps"] += getattr(out, "path_steps_stepped", 0)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_sharded", counting)
+        mp.setattr(cev, "_sharded", counting)
+        yield
+
+
+def pytest_terminal_summary(terminalreporter):
+    lines = sum(p.read_bytes().count(b"\n") for p in SRC.glob("*.py"))
+    terminalreporter.write_line(
+        f"goldenstop footprint: {footprint['passes']} engine passes, "
+        f"{footprint['path_steps']:,} path-steps stepped, "
+        f"{lines:,} lines in src/goldenstop/*.py"
+    )

@@ -12,11 +12,13 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy.special import erf, ndtri
 from scipy.stats import ks_2samp
 
 import goldenstop as g
-from goldenstop import simulate
+from goldenstop import cev as cev_module, simulate
+from goldenstop.cli import main
 
 LAM3 = g.bessel_lambda(3.0)
 INV_PHI = 2.0 / (1.0 + math.sqrt(5.0))
@@ -103,34 +105,22 @@ def test_fibonacci_levels_alternate_and_converge():
 
 
 def test_cev_objective_equals_source_estimate():
-    """The drawdown trigger is evaluated on the source side, so the price
-    formulation must reproduce the source estimate bit for bit."""
-    cev = g.CevModel(d=3.0, c_sigma=1.0)
-    kw = dict(n_paths=400, seed=11, step=1e-3, horizon=30.0)
-    est = g.simulate_cev_objective(cev, 1.0, g.StoppingRule.drawdown_rule(LAM3), **kw)
-    model = g.make_bessel_model(3.0)
-    ref = g.estimate_objective(model, 1.0, g.StoppingRule.ratio_rule(LAM3), **kw)
-    assert est.mean == ref.mean
-    assert est.std_error == ref.std_error
-    assert est.rule_id.startswith("drawdown(")
-
-    # non-unit c_sigma shifts the start through the inverse map: x0 = 4;
-    # the short horizon truncates ~10% of paths, which both routes must
-    # report identically
-    cev2 = g.CevModel(d=3.0, c_sigma=2.0)
+    """The price-side sweep is the source estimate: `goldenstop cev` at
+    c_sigma = 2, z0 = 0.5 starts the Bessel paths at x0 = K^{-1}(0.5) = 4,
+    where the drawdown trigger at kappa = 3 is the ratio rule at 3, and
+    prints its mean and se bit for bit.  The horizon truncates ~10% of the
+    paths, which both the estimator and the command report."""
     with pytest.warns(UserWarning, match="horizon-biased"):
-        est2 = g.simulate_cev_objective(cev2, 0.5, g.StoppingRule.drawdown_rule(3.0),
-                                        n_paths=300, seed=17, step=1e-3, horizon=30.0)
+        ref = g.estimate_objective(g.make_bessel_model(3.0), 4.0, g.StoppingRule.ratio_rule(3.0),
+                                   n_paths=300, seed=17, step=1e-3, horizon=30.0)
+    assert ref.truncated_fraction > 0.0
     with pytest.warns(UserWarning, match="horizon-biased"):
-        ref2 = g.estimate_objective(model, 4.0, g.StoppingRule.ratio_rule(3.0),
-                                    n_paths=300, seed=17, step=1e-3, horizon=30.0)
-    assert est2.mean == ref2.mean
-    assert est2.truncated_fraction == ref2.truncated_fraction > 0.0
-
-    with pytest.raises(g.DomainError):
-        g.simulate_cev_objective(cev, 1.0, g.StoppingRule.ratio_rule(2.0))
-    with pytest.raises(g.DomainError):
-        g.simulate_cev_objective(cev, 0.0, g.StoppingRule.drawdown_rule(2.0))
+        res = CliRunner().invoke(main, [
+            "--seed", "17", "cev", "--c-sigma", "2", "--z0", "0.5", "--kappa", "3",
+            "--n-paths", "300", "--step", "1e-3", "--horizon", "30"])
+    assert res.exit_code == 0
+    assert res.output.splitlines() == [
+        "kappa,mean,std_error", f"3,{ref.mean:.17g},{ref.std_error:.17g}"]
 
 
 def test_martingale_defect_table():
@@ -203,22 +193,26 @@ def test_direct_sampler_replay_oracle(d, horizon):
 
 
 def test_two_route_agreement_reduced_scale():
-    """Transformed-Bessel and direct-Euler stopped prices agree in law."""
+    """Transformed-Bessel and direct-Euler stopped prices agree in law.  The
+    transformed route is a drawdown pass of the source from x0 = K^{-1}(1)
+    = 1 read through K."""
     cev = g.CevModel(d=3.0, c_sigma=1.0)
-    za, na = g.transformed_stopped_samples(cev, 1.0, LAM3, n_paths=2000,
-                                           seed=42, step=1e-3, bridge=False)
+    res = g.simulate_rules(g.make_bessel_model(3.0), 1.0, [g.StoppingRule.drawdown_rule(LAM3)],
+                           2000, seed=42, step=1e-3, horizon=30.0, bridge=False)
+    za = g.cev_transform(cev, res.x_stop[0])
     zb, nb = g.direct_stopped_samples(cev, 1.0, LAM3, n_paths=2000,
                                       seed=1_000_045, step=1e-3)
-    assert na == 0 and nb == 0
+    assert not res.truncated.any() and nb == 0
     assert ks_2samp(za, zb).statistic < 0.06
 
 
-def test_transformed_samples_truncation_count():
-    cev = g.CevModel(d=3.0, c_sigma=1.0)
-    z, n_trunc = g.transformed_stopped_samples(cev, 1.0, 4.0, n_paths=50,
-                                               seed=3, step=1e-2, horizon=0.25)
-    assert z.size + n_trunc == 50
-    assert n_trunc > 25
+def test_direct_sampler_checks_its_seed_before_forking(monkeypatch):
+    def forked(run, n_paths):
+        raise AssertionError("the pass was sharded before its seed was checked")
+
+    monkeypatch.setattr(cev_module, "_sharded", forked)
+    with pytest.raises(g.DomainError, match="seed must lie in"):
+        g.direct_stopped_samples(g.CevModel(3.0), 1.0, 2.0, n_paths=4096, seed=-1)
 
 
 def test_direct_sampler_sharded_equals_serial(monkeypatch):

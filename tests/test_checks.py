@@ -58,7 +58,10 @@ def test_cev_route_ks_equals_the_transformed_sampler(seed):
     rows = {r.name: r for r in checks.cev_checks(seed=seed, **kw)}
     model = cev.CevModel(3.0, 1.0)
     lam = g.bessel_lambda(3.0)
-    za, _ = cev.transformed_stopped_samples(model, 1.0, lam, seed=seed, bridge=False, **kw)
+    # a one-rule drawdown pass from x0 = K^{-1}(1) = 1, read through K
+    res = simulate.simulate_rules(g.make_bessel_model(3.0), 1.0, [g.StoppingRule.drawdown_rule(lam)],
+                                  seed=seed, bridge=False, **kw)
+    za = cev.cev_transform(model, res.x_stop[0, ~res.truncated[0]])
     zb, _ = cev.direct_stopped_samples(model, 1.0, lam, seed=seed + 1_000_003, **kw)
     assert rows["cev-two-route-ks"].value == float(ks_2samp(za, zb).statistic)
     ident = rows["drawdown-step-identity"]

@@ -142,6 +142,23 @@ def test_validate_model_flags_bad_scale():
         )
 
 
+def test_normalisation_warnings_name_the_caller(tmp_path):
+    """Brownian motion is recurrent: its scale stays bounded toward 0.  The
+    warning names this file whichever entry point built the model."""
+    path = tmp_path / "bm.csv"
+    path.write_text("x,mu,sigma\n" + "".join(f"{x},0,1\n" for x in (0.1, 1, 10, 100, 1000)))
+    with warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        m = g.model_from_coefficients(np.zeros_like, np.ones_like)
+    assert len(w) == 1 and "does not blow up" in str(w[0].message)
+    assert w[0].filename == __file__
+    for build in (lambda: g.model_from_csv(path), lambda: g.validate_model(m)):
+        with warnings.catch_warnings(record=True) as w:
+            warnings.simplefilter("always")
+            build()
+        assert len(w) == 1 and w[0].filename == __file__
+
+
 @pytest.mark.parametrize("d", [2.5, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0])
 def test_coefficient_pipeline_matches_closed_form(d):
     """Scale built by integrating mu, sigma agrees with the power law cut

@@ -175,6 +175,27 @@ def test_simulate_path_matches_batch_row():
         assert po.truncated == bool(res.truncated[0, p])
 
 
+def test_simulate_path_matches_custom_model_rows(custom3):
+    """The same holds for a coefficient-built model, under a ratio rule and
+    a fixed-time rule evaluated side by side in the batch."""
+    rules = [g.StoppingRule.ratio_rule(LAM3), g.StoppingRule.fixed_time_rule(0.3)]
+    n, step, horizon = 29, 1e-2, 50.0
+    res = simulate_rules(custom3, 1.0, rules, n, seed=7, step=step, horizon=horizon)
+    for j, rule in enumerate(rules):
+        for p in range(n):
+            po = g.simulate_path(custom3, 1.0, step, rule, horizon, g.make_path_stream(7, p))
+            assert po == g.PathOutcome(
+                stop_time=float(res.stop_step[j, p]) * step,
+                x_stop=float(res.x_stop[j, p]),
+                i_stop=float(res.i_stop[j, p]),
+                objective_integral=float(res.objective[j, p]),
+                theta_proxy=float(res.theta_step[j, p]) * step,
+                n_steps=int(res.stop_step[j, p]),
+                truncated=bool(res.truncated[j, p]),
+            ), (j, p)
+    assert np.all(res.stop_step[1] == 30) and res.stop_step[0].max() > 30
+
+
 def _lanes(width, blocks, *args, **kwargs):
     """simulate_rules with the engine's lane width and block length replaced."""
     with pytest.MonkeyPatch.context() as mp:
@@ -350,6 +371,17 @@ def test_truncation_warning():
     assert est.truncated_fraction > 0.9
     assert math.isfinite(est.mean)
 
+
+
+def test_truncation_warning_names_the_caller():
+    model, rule = g.make_bessel_model(3.0), g.StoppingRule.ratio_rule(4.0)
+    kw = dict(n_paths=64, seed=37, step=1e-3, horizon=0.05)
+    with warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        g.estimate_objective(model, 1.0, rule, **kw)
+        g.compare_rules(model, 1.0, [rule], **kw)
+    assert len(w) == 2 and "horizon-biased" in str(w[0].message)
+    assert w[0].filename == __file__ and w[1].filename == __file__
 
 
 def test_compare_rules_warns_once_per_truncated_rule():
