@@ -178,8 +178,8 @@ def direct_stopped_samples(
     """
     if not (z0 > 0.0) or not math.isfinite(z0):
         raise DomainError(f"need z0 > 0, got {z0}")
-    if not (kappa > 1.0):
-        raise DomainError(f"need kappa > 1, got {kappa}")
+    if not (kappa > 1.0) or not math.isfinite(kappa):
+        raise DomainError(f"need finite kappa > 1, got {kappa}")
     if n_paths < 1:
         raise DomainError(f"need n_paths >= 1, got {n_paths}")
     seed = _check_seed(seed)

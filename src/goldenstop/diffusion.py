@@ -38,6 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalError, UnsupportedModelError, _caller_stacklevel
 
@@ -317,8 +318,8 @@ def model_from_coefficients(
 
     Both are cubic Hermite interpolants with the exact nodal slopes E' and
     T' = -exp(-E) x; each point is evaluated on its own interval, so scale
-    and scale_deriv are elementwise.  The scale inverse is by bisection on
-    [x_min, x_max].
+    and scale_deriv are elementwise.  The scale inverse is a root solve in
+    t over [log x_min, log x_max].
     """
     _require_positive("x_ref", x_ref)
     x_min = x_ref * 1e-6 if x_min is None else float(x_min)
@@ -365,16 +366,10 @@ def model_from_coefficients(
                     f"scale inverse argument {val} outside representable range "
                     f"[{lo_val:.6e}, {hi_val:.6e}]"
                 )
-            a, b = x_min, x_max
-            for _ in range(200):
-                m = math.sqrt(a * b)
-                if float(scale(m)) < val:
-                    a = m
-                else:
-                    b = m
-                if b - a <= 1e-14 * b:
-                    break
-            return 0.5 * (a + b)
+            # root in t = log x of the scale's own spline (L = lo_val at t[0],
+            # 0 at t[-1]), so xtol is a relative tolerance in x
+            s = brentq(lambda u: -float(tail_of_t(u)) / t_norm - val, t[0], t[-1], xtol=1e-15)
+            return math.exp(s)
 
         v = np.asarray(v, dtype=float)
         if v.ndim:

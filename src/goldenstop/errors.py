@@ -66,8 +66,8 @@ class NoMinimalSolutionError(NumericalError):
 
 
 class ConsistencyError(NumericalError):
-    """An internal invariant failed (non-monotone shot family, boundary
-    below the sign curve, non-increasing grid)."""
+    """An internal invariant failed (a shot family that is not monotone
+    increasing on its common grid)."""
 
 
 class SchemeError(NumericalError):

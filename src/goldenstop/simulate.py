@@ -64,9 +64,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaincinv, ndtri
-from scipy.stats import kstest
 
-from .bessel import make_stopped_distribution, stopped_cdf, stopped_cdf_general
 from .boundary import Boundary
 from .diffusion import DiffusionModel
 from .errors import DomainError, SchemeError, _caller_stacklevel
@@ -83,7 +81,6 @@ __all__ = [
     "simulate_rules",
     "estimate_objective",
     "compare_rules",
-    "sample_stopped_distribution",
     "estimate_future_min_prob",
 ]
 
@@ -181,7 +178,7 @@ class PathOutcome:
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloEstimate:
-    """Estimator output; extra carries diagnostics (e.g. truncation bias)."""
+    """Estimator output; extra carries diagnostics (e.g. an analytic share)."""
 
     mean: float
     std_error: float
@@ -454,8 +451,8 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
         d = model.dim
         nu = d - 2.0
         drift_num = gshape = (d - 1.0) / 2.0  # drift (d-1)/(2x); chi-square substep shape
-        # union of the drift-dominance region mu*step > 0.1 x (radius
-        # sqrt(5(d-1) step)) and the region a diffusive step could cross zero
+        # union of the drift-dominance region mu*step > x/32 (radius
+        # 4 sqrt((d-1) step)) and the region a diffusive step could cross zero
         x_guard = max(4.0 * math.sqrt((d - 1.0) * step), 8.5 * math.sqrt(step))
     sqdt = math.sqrt(step)
     init = dict(X=x0, I=x0, obj=0.0, cprev=-1.0, theta=0, pending=~at0)
@@ -704,55 +701,6 @@ def compare_rules(
     return RuleComparison(estimates=ests, objectives=res.objective, rule_ids=res.rule_ids)
 
 
-def sample_stopped_distribution(
-    model: DiffusionModel,
-    x0: float,
-    rule,
-    n_paths: int = 50_000,
-    seed: int = 42,
-    step: float = 1e-4,
-    horizon: float = 50.0,
-    scheme: str = "euler",
-    bridge: bool = True,
-):
-    """Sorted sample of the stopped state and its KS distance to theory.
-
-    The reference law is the closed-form power law for ratio and drawdown
-    rules (at the drawdown's mapped ratio) on Bessel models, and the
-    quadrature law of `stopped_cdf_general` for boundary rules.  Truncated
-    paths are excluded from the sample, with a warning once they exceed 1%
-    of the run.
-    """
-    res = simulate_rules(
-        model, x0, [rule], n_paths, seed=seed, step=step, horizon=horizon,
-        scheme=scheme, bridge=bridge,
-    )
-    ok = ~res.truncated[0]
-    n_excl = int((~ok).sum())
-    if n_excl > 0.01 * n_paths:
-        warnings.warn(
-            f"excluding {n_excl} truncated paths from the stopped sample",
-            stacklevel=2,
-        )
-    sample = np.sort(res.x_stop[0, ok])
-
-    lam = _ratio_of(rule, model)
-    if lam is not None and model.kind == "bessel":
-        dist = make_stopped_distribution(model.dim, lam, x0)
-        ks = float(kstest(sample, lambda y: stopped_cdf(dist, y)).statistic)
-    elif rule.variant == "boundary":
-        ks = float(
-            kstest(sample, lambda y: np.array([
-                stopped_cdf_general(model, rule.boundary, x0, float(v)) for v in np.atleast_1d(y)
-            ])).statistic
-        )
-    else:
-        raise DomainError(
-            f"no reference stopped law for rule kind {rule.variant!r} on model {model.kind!r}"
-        )
-    return sample, ks
-
-
 def estimate_future_min_prob(
     model: DiffusionModel,
     x0: float,
@@ -764,13 +712,14 @@ def estimate_future_min_prob(
     scheme: str = "euler",
     bridge: bool = True,
 ) -> MonteCarloEstimate:
-    """P(the path ever dips below ``level``), with truncation accounting.
+    """P(the path ever dips below ``level``), completed at the horizon.
 
     Paths retire as soon as they dip (their contribution is settled), so
-    the pass is much cheaper than a fixed-horizon run.  For surviving
-    paths the exact conditional dip probability L(X_T)/L(level) is
-    averaged and reported as extra["truncation_bias"]; the unbiased target
-    is estimate + bias, and theory says L(x0)/L(level).
+    the pass is much cheaper than a fixed-horizon run.  Each path's value
+    is 1 if it dipped and, if it is still above the level at the horizon,
+    its exact conditional dip probability L(X_T)/L(level); the mean of
+    these values is unbiased for L(x0)/L(level), and the standard error is
+    theirs.  The survivors' share of the mean is extra["analytic_share"].
     """
     if not (0.0 < level < x0):
         raise DomainError(f"need 0 < level < x0, got level={level}, x0={x0}")
@@ -778,18 +727,12 @@ def estimate_future_min_prob(
         model, x0, [_DipProbe(level=float(level))], n_paths,
         seed=seed, step=step, horizon=horizon, scheme=scheme, bridge=bridge,
     )
-    dipped = ~res.truncated[0]
-    p_hat = float(np.mean(dipped))
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / n_paths)
     surv = res.truncated[0]
-    if surv.any():
-        x_surv = res.x_stop[0, surv]
-        cond = np.asarray(model.scale(x_surv), dtype=float) / float(model.scale(level))
-        bias = float(np.sum(cond)) / n_paths
-    else:
-        bias = 0.0
+    completed = np.ones(n_paths)
+    completed[surv] = np.asarray(model.scale(res.x_stop[0, surv]), dtype=float) / float(model.scale(level))
+    mean, se = _mean_se(completed)
     return MonteCarloEstimate(
-        mean=p_hat,
+        mean=mean,
         std_error=se,
         n_paths=n_paths,
         seed=seed,
@@ -797,5 +740,5 @@ def estimate_future_min_prob(
         rule_id=res.rule_ids[0],
         horizon=horizon,
         truncated_fraction=float(np.mean(surv)),
-        extra={"truncation_bias": bias},
+        extra={"analytic_share": float(np.sum(completed[surv])) / n_paths},
     )

@@ -1,11 +1,13 @@
-"""Tier-1 footprint: engine passes, path-steps stepped, source lines.
+"""Tier-1 footprint: engine passes, path-steps stepped, source lines and
+public names.
 
 Every Monte Carlo pass runs through ``simulate._sharded`` (``cev`` imports
 the same function), so a session-wide wrapper in both modules counts the
 passes and adds the ``path_steps_stepped`` of each result that carries
 it.  Tests that patch ``_sharded`` themselves wrap this wrapper and still
-see every call.  The totals and the line count of ``src/goldenstop/*.py``
-are printed as one line at the end of the run; no test reads them.
+see every call.  The totals, the line count of ``src/goldenstop/*.py``
+and ``len(goldenstop.__all__)`` are printed as one line at the end of the
+run; no test reads them.
 """
 
 from pathlib import Path
@@ -35,9 +37,12 @@ def _count_engine_passes():
 
 
 def pytest_terminal_summary(terminalreporter):
+    import goldenstop
+
     lines = sum(p.read_bytes().count(b"\n") for p in SRC.glob("*.py"))
     terminalreporter.write_line(
         f"goldenstop footprint: {footprint['passes']} engine passes, "
         f"{footprint['path_steps']:,} path-steps stepped, "
-        f"{lines:,} lines in src/goldenstop/*.py"
+        f"{lines:,} lines in src/goldenstop/*.py, "
+        f"{len(goldenstop.__all__)} public names"
     )

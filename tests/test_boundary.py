@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 import goldenstop as g
 from goldenstop import boundary as gb
@@ -54,6 +55,25 @@ def test_shot_approaches_ray():
     b = g.shoot_from_h(m, 0.01, 2.0)
     for i in (0.5, 1.0, 2.0):
         assert abs(b(i) / i - lam) < 1e-6, i
+
+
+@pytest.mark.parametrize("i_max", [1.004, 1.05])
+def test_shot_start_phase_matches_d3_closed_form(i_max):
+    # u = f/i solves i u' = -(u - a)(u - b)/(u - 2) with a, b = phi^2, phi^-2,
+    # so the shot from f(1) = h(1) = 2 satisfies
+    #   ln i = -A ln((u - a)/(2 - a)) - B ln((u - b)/(2 - b)).
+    # At i_max = 1.004 the reciprocal start phase covers the whole range
+    # (the handoff is near i = 1.0059); at 1.05 both phases run
+    a, b = (3.0 + math.sqrt(5.0)) / 2.0, (3.0 - math.sqrt(5.0)) / 2.0
+    A, B = (a - 2.0) / (a - b), (b - 2.0) / (b - a)
+
+    def log_i(u):
+        return -A * math.log((u - a) / (2.0 - a)) - B * math.log((u - b) / (2.0 - b))
+
+    shot = g.shoot_from_h(_m3(), 1.0, i_max, n_grid=16)
+    exact = np.array([i * brentq(lambda u: log_i(u) - math.log(i), 2.0, a - 1e-9, xtol=1e-15)
+                      for i in shot.i_grid])
+    assert np.max(np.abs(shot.f_grid / exact - 1.0)) < 1e-6
 
 
 def test_shot_family_monotone():

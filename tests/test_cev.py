@@ -149,6 +149,9 @@ def test_direct_sampler_deterministic_and_validated():
         g.direct_stopped_samples(cev, 0.0, 2.0, n_paths=10)
     with pytest.raises(g.DomainError):
         g.direct_stopped_samples(cev, 1.0, 1.0, n_paths=10)
+    # kappa = inf never triggers: every path would run to the horizon
+    with pytest.raises(g.DomainError, match="kappa"):
+        g.direct_stopped_samples(cev, 1.0, math.inf, n_paths=64, step=1e-2, horizon=1.0)
     with pytest.raises(g.DomainError):
         g.direct_stopped_samples(cev, 1.0, 2.0, n_paths=0)
 

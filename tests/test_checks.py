@@ -93,24 +93,24 @@ def test_stopped_mean_grades_the_overshoot_corrected_mean():
     assert _stopped_mean_row(exact[::250], step).tolerance == 0.01
 
 
-def _fake_dip(p_hat, bias, se):
+def _fake_dip(mean, share, se):
     def estimate(model, x0, level, n_paths, seed, step, horizon):
-        return MonteCarloEstimate(mean=p_hat, std_error=se, n_paths=n_paths, seed=seed,
+        return MonteCarloEstimate(mean=mean, std_error=se, n_paths=n_paths, seed=seed,
                                   step=step, rule_id="dip", horizon=horizon,
-                                  extra={"truncation_bias": bias})
+                                  extra={"analytic_share": share})
     return estimate
 
 
 def test_future_min_grades_the_completed_estimate(monkeypatch):
-    se, bias = 0.0035, 0.088
-    # unbiased completion: p_hat + bias hits both targets
-    monkeypatch.setattr(checks, "estimate_future_min_prob", _fake_dip(0.5 - bias, bias, se))
+    se, share = 0.0030, 0.088
+    # a completed estimate on target passes both rows
+    monkeypatch.setattr(checks, "estimate_future_min_prob", _fake_dip(0.5, share, se))
     r3, _ = checks.future_min_checks()
     assert r3.passed and r3.value == pytest.approx(0.0, abs=1e-12)
-    assert r3.tolerance <= 3 * se + 0.015
-    assert "p_hat 0.4120 + bias 0.0880" in r3.detail and "se 0.0035" in r3.detail
-    # p_hat itself on target leaves the completion a whole bias too high;
-    # the former |p_hat - target| <= 3 se + bias form accepted this
-    monkeypatch.setattr(checks, "estimate_future_min_prob", _fake_dip(0.5, bias, se))
+    assert r3.tolerance == pytest.approx(3 * se + checks._DIP_ALLOWANCE)
+    assert "completed estimate 0.5000 (analytic share 0.0880)" in r3.detail
+    assert "se 0.003" in r3.detail
+    # one a whole analytic share too high (the survivors counted twice) fails
+    monkeypatch.setattr(checks, "estimate_future_min_prob", _fake_dip(0.5 + share, share, se))
     r3, _ = checks.future_min_checks()
-    assert not r3.passed and r3.value == pytest.approx(bias)
+    assert not r3.passed and r3.value == pytest.approx(share)

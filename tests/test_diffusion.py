@@ -44,6 +44,16 @@ def test_scale_inverse_roundtrip():
             m.scale_inverse(0.0)
         with pytest.raises(g.DomainError):
             m.scale_inverse(1.0)
+    # a coefficient model inverts its spline scale across the whole domain
+    m = g.model_from_coefficients(lambda x: 1.0 / x, lambda x: 1.0)
+    x_min, x_max = m.domain
+    xs = np.geomspace(x_min, x_max * (1.0 - 1e-12), 41)
+    back = np.asarray(m.scale_inverse(m.scale(xs)))
+    assert np.allclose(back, xs, rtol=1e-13, atol=0)
+    assert m.scale_inverse(m.scale(2.0)) == pytest.approx(2.0, rel=1e-13, abs=0)
+    for v in (0.0, 1.01 * m.scale(x_min)):
+        with pytest.raises(g.DomainError, match="outside representable range"):
+            m.scale_inverse(v)
 
 
 def test_hitting_probability_two_thirds():

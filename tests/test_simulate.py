@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.special import gammaincinv, ndtri
+from scipy.stats import kstest
 
 import goldenstop as g
 from goldenstop import simulate
@@ -23,6 +24,12 @@ from goldenstop.simulate import _DipProbe, _shards, simulate_rules
 
 _U_FLOOR = 2.0 ** -53
 LAM3 = g.bessel_lambda(3.0)
+
+
+def _stopped_sample(model, rule, **kw):
+    """Sorted stopped states x_stop, from x0 = 1, of the paths the rule stopped."""
+    res = simulate_rules(model, 1.0, [rule], **kw)
+    return np.sort(res.x_stop[0, ~res.truncated[0]])
 
 
 def replay_ratio_path(d, x0, lam, seed, index, step, horizon, scheme, bridge):
@@ -268,20 +275,6 @@ def test_drawdown_rule_identities():
     assert np.array_equal(c.x_stop, d_.x_stop)
 
 
-def test_drawdown_stopped_law_is_the_mapped_ratio_law():
-    # at d = 5 a drawdown rule is graded against the power law of its
-    # mapped ratio kappa^(1/3): same sample, same KS, bit for bit
-    model5 = g.make_bessel_model(5.0)
-    kappa = g.cev_rule_threshold(g.CevModel(5.0))
-    kw = dict(n_paths=300, seed=59, step=1e-3, horizon=50.0)
-    s_d, ks_d = g.sample_stopped_distribution(model5, 1.0, g.StoppingRule.drawdown_rule(kappa), **kw)
-    s_r, ks_r = g.sample_stopped_distribution(
-        model5, 1.0, g.StoppingRule.ratio_rule(kappa ** (1.0 / 3.0)), **kw)
-    assert s_d.size == 300
-    assert np.array_equal(s_d, s_r)
-    assert ks_d == ks_r
-
-
 @pytest.fixture(scope="module")
 def shot_limit3():
     """The d = 3 shot-limit boundary: within 1e-9 of the ray lam(3) i,
@@ -304,10 +297,13 @@ def test_shot_limit_stopped_sample_is_the_ratio_sample(shot_limit3):
     # and its KS distance reads the quadrature law through the PCHIP inverse
     model = g.make_bessel_model(3.0)
     kw = dict(n_paths=300, seed=7, step=1e-2, horizon=20.0)
-    s_b, ks_b = g.sample_stopped_distribution(
-        model, 1.0, g.StoppingRule.boundary_rule(shot_limit3), **kw)
-    s_r, ks_r = g.sample_stopped_distribution(model, 1.0, g.StoppingRule.ratio_rule(LAM3), **kw)
+    s_b = _stopped_sample(model, g.StoppingRule.boundary_rule(shot_limit3), **kw)
+    s_r = _stopped_sample(model, g.StoppingRule.ratio_rule(LAM3), **kw)
     assert np.array_equal(s_b, s_r)
+    ks_b = kstest(s_b, lambda y: np.array([
+        g.stopped_cdf_general(model, shot_limit3, 1.0, float(v)) for v in y])).statistic
+    dist = g.make_stopped_distribution(3.0, LAM3, 1.0)
+    ks_r = kstest(s_r, lambda y: g.stopped_cdf(dist, y)).statistic
     assert abs(ks_b - ks_r) < 1e-9
 
 
@@ -542,31 +538,13 @@ def test_compare_rules_pairing():
     assert [r["rule_id"] for r in rows] == cmp_.rule_ids
 
 
-def test_stopped_sample_warning_and_unsupported_rules():
-    model = g.make_bessel_model(3.0)
-    rule = g.StoppingRule.ratio_rule(LAM3)
-    with pytest.warns(UserWarning, match="excluding"):
-        sample, _ = g.sample_stopped_distribution(model, 1.0, rule, n_paths=64,
-                                                  seed=53, step=1e-3, horizon=0.2)
-    assert sample.size < 64
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        sample, _ = g.sample_stopped_distribution(model, 1.0, rule, n_paths=64,
-                                                  seed=53, step=1e-3, horizon=50.0)
-    assert sample.size == 64
-    with pytest.raises(g.DomainError, match="no reference stopped law"):
-        g.sample_stopped_distribution(model, 1.0, g.StoppingRule.fixed_time_rule(1.0),
-                                      n_paths=16, seed=53, step=1e-3)
-
-
 def test_stopped_law_reduced_scale():
     """KS against the closed-form power law at 4k paths, step 1e-3."""
     model = g.make_bessel_model(3.0)
-    rule = g.StoppingRule.ratio_rule(LAM3)
-    sample, ks = g.sample_stopped_distribution(model, 1.0, rule,
-                                               n_paths=4000, seed=42, step=1e-3)
-    assert ks < 0.04
+    sample = _stopped_sample(model, g.StoppingRule.ratio_rule(LAM3),
+                             n_paths=4000, seed=42, step=1e-3)
     dist = g.make_stopped_distribution(3.0, LAM3, 1.0)
+    assert kstest(sample, lambda y: g.stopped_cdf(dist, y)).statistic < 0.04
     assert abs(float(sample.mean()) - g.stopped_mean(dist)) < 0.04 * g.stopped_mean(dist)
     assert sample.max() <= LAM3 * 1.0 * (1.0 + 0.05)  # overshoot is one step worth
 
@@ -601,10 +579,14 @@ def test_future_min_probability_reduced_scale():
     model = g.make_bessel_model(3.0)
     est = g.estimate_future_min_prob(model, 2.0, 1.0, n_paths=3000,
                                      seed=42, step=1e-3, horizon=20.0)
-    total = est.mean + est.extra["truncation_bias"]
-    assert abs(total - 0.5) <= 3.0 * est.std_error + 0.015
-    assert est.truncated_fraction > 0.0
-    assert est.extra["truncation_bias"] > 0.0
+    assert abs(est.mean - 0.5) <= 3.0 * est.std_error + 0.015
+    # survivors complete with L(X_T)/L(level) in (0, 1), dipped paths with 1
+    share = est.extra["analytic_share"]
+    assert 0.0 < share < est.truncated_fraction
+    assert est.mean == pytest.approx(1.0 - est.truncated_fraction + share, abs=1e-12)
+    # the completed value is E[1{dip} | path to T], so its se stays below
+    # that of the dip indicator itself (variance 1/4 at P = 1/2)
+    assert est.std_error < math.sqrt(0.25 / 3000)
     with pytest.raises(g.DomainError):
         g.estimate_future_min_prob(model, 1.0, 1.5, n_paths=10, seed=1)
 
