@@ -5,9 +5,10 @@ the ultimate-minimum prediction problem is the exact ray f(i) = lam i,
 where lam = lam(d) is the unique root above 2^(1/(d-2)) of the
 characteristic polynomial
 
-    F(lam) = lam^d - (1+d) lam^2 + 4/(4-d) lam^(4-d) - (d-2)^2/(4-d)
+    F(lam) = lam^d - (1+d) lam^2 + 4 (lam^(4-d) - 1)/(4-d) + d
 
-(log branch at d = 4).  F(1) = 0 always, and F' factors as
+(its limit 4 ln lam at d = 4; evaluated through expm1, which does not
+cancel near d = 4).  F(1) = 0 always, and F' factors as
 
     F'(lam) = d lam^(3-d) (lam^(d-2) - 2/d) (lam^(d-2) - 2),
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionModel, _integrate
+from .diffusion import DiffusionModel, _expm1_over, _integrate
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -49,7 +50,7 @@ __all__ = [
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
-# d within this distance of 4 uses the logarithmic branch of F
+# d within this distance of 4 uses the logarithmic branch of the value
 _D4_SWITCH = 1e-8
 
 
@@ -70,15 +71,7 @@ def bessel_characteristic(d: float, lam) -> float:
     lam = np.asarray(lam, dtype=float)
     if np.any(~np.isfinite(lam)) or np.any(lam <= 0.0):
         raise DomainError(f"need lam > 0, got {lam}")
-    if abs(d - 4.0) < _D4_SWITCH:
-        out = lam**4 - 5.0 * lam**2 + 4.0 * np.log(lam) + 4.0
-    else:
-        out = (
-            lam**d
-            - (1.0 + d) * lam**2
-            + 4.0 / (4.0 - d) * lam ** (4.0 - d)
-            - (d - 2.0) ** 2 / (4.0 - d)
-        )
+    out = lam**d - (1.0 + d) * lam**2 + 4.0 * _expm1_over(4.0 - d, np.log(lam)) + d
     return float(out) if out.ndim == 0 else out
 
 
@@ -100,8 +93,9 @@ def bessel_lambda(d: float) -> float:
     """Optimal stopping ratio lam(d): root of F above 2^(1/(d-2)).
 
     Bracket by doubling, then Newton with bisection fallback whenever an
-    iterate leaves the bracket, until a step moves the iterate by at most
-    1e-12 relative.  At d = 3 returns (3+sqrt5)/2 to full precision.
+    iterate leaves the bracket, until a Newton step moves the iterate by at
+    most 1e-12 relative, F vanishes, or the bracket is 1e-15 relative
+    narrow.  At d = 3 returns (3+sqrt5)/2 to full precision.
     """
     d = _check_dim(d)
     lo = 2.0 ** (1.0 / (d - 2.0)) * (1.0 + 1e-9)
@@ -118,16 +112,17 @@ def bessel_lambda(d: float) -> float:
     x = 0.5 * (lo + hi)
     for _ in range(200):
         fx = bessel_characteristic(d, x)
+        if fx == 0.0 or hi - lo <= 1e-15 * hi:
+            return x
         if fx > 0.0:
             hi = x
         else:
             lo = x
         dfx = bessel_characteristic_derivative(d, x)
-        step = fx / dfx if dfx != 0.0 else math.inf
-        x_new = x - step
+        x_new = x - fx / dfx if dfx != 0.0 else math.inf
         if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-12 * x_new:
+        elif abs(x_new - x) <= 1e-12 * x_new:
             return x_new
         x = x_new
     raise NumericalError(f"optimal-ratio iteration did not converge for d={d}")

@@ -7,12 +7,16 @@ first-order ODE
     f'(i) = Phi(i, f) = - sigma^2(f) L'(f) / ( c(i,f) (L(f) - L(i)) ) * J(i, f)
 
     J(i, f) = int_i^f  dc/di(i, y) (L(y) - L(i)) / (sigma^2(y) L'(y)) dy,
-    dc/di(i, y) = 2 L(y) L'(i) / L(i)^2,
+    dc/di(i, y) = 2 L(y) L'(i) / L(i)^2.
 
-and is singled out among all solutions as the minimal one lying above the
-sign-change curve h.  It is constructed here by shooting: start the n-th
-shot exactly on the curve, f_n(i_n) = h(i_n), push i_n toward 0, and take
-the increasing limit.  For Bessel models the limit is the exact ray
+With the scale moments M_k(y) = int^y L^k m' (m' the speed density) this is
+J = L'(i)/L(i)^2 [dM_2 - L(i) dM_1] over [i, f]: closed form for models that
+supply `scale_moments` (Bessel), adaptive quadrature of J for the others.
+
+The boundary is singled out among all solutions as the minimal one lying
+above the sign-change curve h.  It is constructed here by shooting: start
+the n-th shot exactly on the curve, f_n(i_n) = h(i_n), push i_n toward 0,
+and take the increasing limit.  For Bessel models the limit is the exact ray
 lam(d) * i, which is what the tests pin the machinery against.
 
 The rhs is 0/0 on the curve f = h(i) (c vanishes there), so each shot
@@ -35,7 +39,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -54,6 +58,7 @@ from .errors import (
 
 __all__ = [
     "Boundary",
+    "ShotRecord",
     "line_boundary",
     "boundary_ode_rhs",
     "shoot_from_h",
@@ -76,6 +81,15 @@ SHOT_REL_TOL = 1e-6
 DELTA_SCALE = 1e-3
 
 
+class ShotRecord(NamedTuple):
+    """One shot: start on h, rhs evaluations (``nfev`` of both solve_ivp
+    phases), relative sup-norm gap to the previous shot (None for the first)."""
+
+    start: float
+    nfev: int
+    rel_gap: Optional[float]
+
+
 @dataclass(frozen=True, eq=False)
 class Boundary:
     """Increasing stopping boundary f on a grid, monotone-cubic between nodes.
@@ -84,7 +98,8 @@ class Boundary:
     "closed-form-ratio(...)" for exact rays (then ``ratio`` is set and
     evaluation is lam * i exactly, no interpolation), "shot(...)" for a
     single shot started on the sign-change curve, "minimal-limit(...)" for
-    the shot-limit construction, "imported" for CSV round-trips.
+    the shot-limit construction, "imported" for CSV round-trips.  ``shots``
+    holds one ShotRecord per shot a shooting construction took.
 
     Nodes must satisfy f >= h (equality only where a shot starts) and f
     strictly increasing.  Evaluation slightly outside the grid extrapolates
@@ -96,6 +111,7 @@ class Boundary:
     h_grid: np.ndarray
     provenance: str
     ratio: Optional[float] = None
+    shots: tuple = ()
 
     def __post_init__(self):
         ig = np.asarray(self.i_grid, dtype=float)
@@ -190,13 +206,17 @@ def _rhs_terms(model: DiffusionModel, i: float, f: float):
     li = float(L(i))
     lf = float(L(f))
     lpi = float(Lp(i))
-
-    def g(y):
-        ly = float(L(y))
-        return 2.0 * ly * lpi / li**2 * (ly - li) / (float(sig(y)) ** 2 * float(Lp(y)))
-
     s = float(sig(f)) ** 2 * float(Lp(f))
-    return 1.0 - 2.0 * lf / li, lf - li, s, _integrate(g, i, f)
+    if model.scale_moments is not None:
+        dm1, dm2 = model.scale_moments(i, f)
+        J = lpi / li**2 * (dm2 - li * dm1)
+    else:
+        def g(y):
+            ly = float(L(y))
+            return 2.0 * ly * lpi / li**2 * (ly - li) / (float(sig(y)) ** 2 * float(Lp(y)))
+
+        J = _integrate(g, i, f)
+    return 1.0 - 2.0 * lf / li, lf - li, s, J
 
 
 def boundary_ode_rhs(model: DiffusionModel, i: float, f: float) -> float:
@@ -217,9 +237,9 @@ def boundary_ode_rhs(model: DiffusionModel, i: float, f: float) -> float:
     return -s / (c * n) * J
 
 
-def _shot(model: DiffusionModel, i_start: float, i_max: float, nodes: np.ndarray) -> np.ndarray:
-    """f at ``nodes`` (within [i_start, i_max]) along the shot started on
-    the sign-change curve at i_start.
+def _shot(model: DiffusionModel, i_start: float, i_max: float, nodes: np.ndarray):
+    """(f at ``nodes`` (within [i_start, i_max]), rhs evaluations) along the
+    shot started on the sign-change curve at i_start.
 
     Raises DivergenceError (with the blow-up abscissa) if f exceeds
     DIVERGENCE_FACTOR * h(i) before reaching i_max.
@@ -274,8 +294,8 @@ def _shot(model: DiffusionModel, i_start: float, i_max: float, nodes: np.ndarray
         def dir_rhs(i, y):
             return [boundary_ode_rhs(model, i, y[0])]
 
-        def ev_diverge(i, y):
-            return y[0] - DIVERGENCE_FACTOR * float(h_curve(model, i))
+        def ev_diverge(i, y):  # h(i) unchecked: i stays in [i_handoff, i_max]
+            return y[0] - DIVERGENCE_FACTOR * float(model.scale_inverse(model.scale(i) / 2.0))
 
         ev_diverge.terminal = True
         ev_diverge.direction = 1.0
@@ -324,7 +344,7 @@ def _shot(model: DiffusionModel, i_start: float, i_max: float, nodes: np.ndarray
             out[k] = f_handoff
         else:
             out[k] = float(sol2.sol(min(i, sol2.t[-1]))[0])
-    return out
+    return out, sol1.nfev + (0 if sol2 is None else sol2.nfev)
 
 
 def _grid(model: DiffusionModel, i_lo: float, i_max: float, n_grid: int, name: str):
@@ -348,12 +368,8 @@ def shoot_from_h(
     DIVERGENCE_FACTOR = 1e6 times h(i) before reaching i_max.
     """
     ig, hg = _grid(model, i_n, i_max, n_grid, "i_n")
-    return Boundary(
-        i_grid=ig,
-        f_grid=_shot(model, i_n, i_max, ig),
-        h_grid=hg,
-        provenance=f"shot(i_n={i_n:g})",
-    )
+    fg, nfev = _shot(model, i_n, i_max, ig)
+    return Boundary(ig, fg, hg, f"shot(i_n={i_n:g})", shots=(ShotRecord(i_n, nfev, None),))
 
 
 def minimal_boundary(
@@ -378,19 +394,21 @@ def minimal_boundary(
     grid, hg = _grid(model, i_min, i_max, n_grid, "i_min")
     if n_shots < 1:
         raise DomainError(f"need n_shots >= 1, got {n_shots}")
-    prev, converged = None, False
+    prev, converged, shots = None, False, []
     for n_used in range(1, n_shots + 1):
         start = i_min * 10.0**-n_used
         try:
-            fg = _shot(model, start, i_max, grid)
+            fg, nfev = _shot(model, start, i_max, grid)
         except DivergenceError as exc:
             raise NoMinimalSolutionError(
                 f"shot from i={start:g} diverged at i={exc.blow_up_at:g} before reaching "
                 f"i_max={i_max:g}; no minimal solution exists on [{i_min:g}, {i_max:g}]",
                 blow_up_points=[exc.blow_up_at],
             ) from exc
-        if prev is not None:
-            if float(np.max(np.abs(fg - prev) / fg)) < SHOT_REL_TOL:
+        gap = None if prev is None else float(np.max(np.abs(fg - prev) / fg))
+        shots.append(ShotRecord(start, nfev, gap))
+        if gap is not None:
+            if gap < SHOT_REL_TOL:
                 converged = True
                 break
             if np.any(fg < prev * (1.0 - 1e-9)):
@@ -410,6 +428,7 @@ def minimal_boundary(
         f_grid=fg,
         h_grid=hg,
         provenance=f"minimal-limit(n_shots={n_used}, converged={converged})",
+        shots=tuple(shots),
     )
 
 

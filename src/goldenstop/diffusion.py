@@ -22,7 +22,8 @@ functionals below are integrals against the Green kernel times m'.
 
 Bessel models (dimension d > 2, drift (d-1)/(2x), unit volatility) have
 closed forms throughout:  L(x) = -x^(2-d),  m'(x) = (2/(d-2)) x^(d-1),
-h(i) = 2^(1/(d-2)) i.  A model built from its coefficients gets its scale
+h(i) = 2^(1/(d-2)) i, and the scale moments M_k(y) = int^y L^k m' (k = 1, 2)
+are elementary.  A model built from its coefficients gets its scale
 by two cumulative quadratures on a log-x grid (2 mu / sigma^2, then the
 tail of exp(-E)), see model_from_coefficients.
 """
@@ -73,6 +74,11 @@ def _integrate(g, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL) -> float:
             f"integral over ({a:g}, {b:g}) did not converge (err estimate {err:g})"
         )
     return val
+
+
+def _expm1_over(k, t):
+    """expm1(k t) / k, and its limit t at k = 0; no cancellation as k -> 0."""
+    return t if k == 0.0 else np.expm1(k * t) / k
 
 
 def _read_columns(path, what, names, optional=None) -> list:
@@ -133,6 +139,8 @@ class DiffusionModel:
         models use (0, inf).
     label : str
         Short human-readable description, used in CLI output.
+    scale_moments : callable or None
+        (a, b) -> (M_1(b) - M_1(a), M_2(b) - M_2(a)), M_k(y) = int^y L^k m'.
     """
 
     kind: str
@@ -145,6 +153,7 @@ class DiffusionModel:
     dim: Optional[float] = None
     domain: tuple = (0.0, math.inf)
     label: str = ""
+    scale_moments: Optional[Callable] = None
 
     def __repr__(self):  # keep dataclass repr from dumping closures
         return f"DiffusionModel(kind={self.kind!r}, label={self.label!r}, domain={self.domain!r})"
@@ -200,6 +209,10 @@ def make_bessel_model(d: float) -> DiffusionModel:
     def speed_density(x):
         return (2.0 / nu) * np.asarray(x, dtype=float) ** (d - 1.0)
 
+    def scale_moments(a, b):
+        t = math.log(b / a)
+        return -(b * b - a * a) / nu, 2.0 / nu * a ** (4.0 - d) * _expm1_over(4.0 - d, t)
+
     return DiffusionModel(
         kind="bessel",
         drift=drift,
@@ -211,6 +224,7 @@ def make_bessel_model(d: float) -> DiffusionModel:
         dim=d,
         domain=(0.0, math.inf),
         label=f"bessel(d={d:g})",
+        scale_moments=scale_moments,
     )
 
 

@@ -1,13 +1,15 @@
-"""Tier-1 footprint: engine passes, path-steps stepped, source lines and
-public names.
+"""Tier-1 footprint: engine passes, path-steps stepped, solver quadratures,
+source lines and public names.
 
 Every Monte Carlo pass runs through ``simulate._sharded`` (``cev`` imports
 the same function), so a session-wide wrapper in both modules counts the
 passes and adds the ``path_steps_stepped`` of each result that carries
 it.  Tests that patch ``_sharded`` themselves wrap this wrapper and still
-see every call.  The totals, the line count of ``src/goldenstop/*.py``
-and ``len(goldenstop.__all__)`` are printed as one line at the end of the
-run; no test reads them.
+see every call.  Every solver quadrature runs through
+``diffusion._integrate``, which ``boundary`` and ``bessel`` import by name,
+so a wrapper in all three modules counts them.  The totals, the line count
+of ``src/goldenstop/*.py`` and ``len(goldenstop.__all__)`` are printed as
+one line at the end of the run; no test reads them.
 """
 
 from pathlib import Path
@@ -15,14 +17,14 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "goldenstop"
-footprint = {"passes": 0, "path_steps": 0}
+footprint = {"passes": 0, "path_steps": 0, "quadratures": 0}
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _count_engine_passes():
-    from goldenstop import cev, simulate
+    from goldenstop import bessel, boundary, cev, diffusion, simulate
 
-    sharded = simulate._sharded
+    sharded, integrate = simulate._sharded, diffusion._integrate
 
     def counting(run, n_paths):
         footprint["passes"] += 1
@@ -30,9 +32,15 @@ def _count_engine_passes():
         footprint["path_steps"] += getattr(out, "path_steps_stepped", 0)
         return out
 
+    def counting_integrate(*args, **kwargs):
+        footprint["quadratures"] += 1
+        return integrate(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_sharded", counting)
         mp.setattr(cev, "_sharded", counting)
+        for module in (diffusion, boundary, bessel):
+            mp.setattr(module, "_integrate", counting_integrate)
         yield
 
 
@@ -43,6 +51,7 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(
         f"goldenstop footprint: {footprint['passes']} engine passes, "
         f"{footprint['path_steps']:,} path-steps stepped, "
+        f"{footprint['quadratures']:,} solver quadratures, "
         f"{lines:,} lines in src/goldenstop/*.py, "
         f"{len(goldenstop.__all__)} public names"
     )

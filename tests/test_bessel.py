@@ -8,6 +8,7 @@ the implementation's.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -72,6 +73,41 @@ def test_lambda_frozen_table():
 def test_lambda_newton_vs_bisect():
     for d in FROZEN_LAMBDA:
         assert abs(g.bessel_lambda(d) - g.bessel_lambda_bisect(d)) < 1e-9
+
+
+def _decimal_lambda(d):
+    """Root of F above 2^(1/(d-2)) by bisection in 60-digit decimal
+    arithmetic down to a 1e-45 relative bracket; shares no code with the
+    package."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dd = Decimal(d)  # the float d exactly
+        k = 4 - dd
+
+        def F(lam):
+            ln = lam.ln()
+            tail = ln if k == 0 else ((k * ln).exp() - 1) / k
+            return (dd * ln).exp() - (1 + dd) * lam * lam + 4 * tail + dd
+
+        lo = (Decimal(2).ln() / (dd - 2)).exp()
+        hi = 2 * lo
+        while F(hi) <= 0:
+            hi *= 2
+        while hi - lo > Decimal("1e-45") * hi:
+            mid = (lo + hi) / 2
+            if F(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("d", [2.5, 3.5, 4.0 - 1e-7, 4.0, 4.0 + 2e-8, 4.0 + 1e-7, 5.0])
+def test_lambda_matches_high_precision_reference(d):
+    # the float root is as good as the double arithmetic allows, also where
+    # the characteristic's 1/(4-d) terms cancel
+    ref = _decimal_lambda(d)
+    assert float(abs(Decimal(g.bessel_lambda(d)) - ref) / ref) <= 1e-15
 
 
 def test_lambda_continuity_through_log_branch():

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 import goldenstop as g
@@ -37,6 +37,34 @@ def test_rhs_ray_self_consistency():
         lam = g.bessel_lambda(d)
         for i in (0.5, 1.0, 2.0):
             assert abs(g.boundary_ode_rhs(m, i, lam * i) - lam) < 1e-8, (d, i)
+
+
+@pytest.mark.parametrize("d", [2.5, 3.0, 4.0 - 1e-9, 4.0, 4.0 + 1e-9, 5.0, 7.0, 10.0])
+def test_closed_form_inner_integral_matches_quadrature(d):
+    # J(i, f) from the Bessel scale moments against quad of its integrand,
+    # written out from L(y) = -y^-nu, from just above h(i) to f = 50 i
+    m, nu = g.make_bessel_model(d), d - 2.0
+    for i in (0.3, 1.0):
+        li, lpi = -(i**-nu), nu * i ** (-nu - 1.0)
+
+        def integrand(y):
+            ly = -(y**-nu)
+            return 2.0 * ly * lpi / li**2 * (ly - li) / (nu * y ** (-nu - 1.0))
+
+        for r in np.geomspace(2.0 ** (1.0 / nu) * (1.0 + 1e-6), 50.0, 9):
+            ref, _ = quad(integrand, i, r * i, epsabs=0.0, epsrel=1e-13, limit=200)
+            got = gb._rhs_terms(m, i, r * i)[3]
+            assert abs(got - ref) <= 1e-12 * abs(ref), (d, i, r, got, ref)
+
+
+def test_rhs_quadrature_path_matches_scale_moments():
+    # the same Bessel scale without scale moments takes the quadrature path
+    m = _m3()
+    copy = g.model_from_scale(m.drift, m.volatility, m.scale, m.scale_deriv, m.scale_inverse)
+    assert m.scale_moments is not None and copy.scale_moments is None
+    for i, f in ((1.0, 2.0001), (1.0, 2.7), (0.5, 1.6), (2.0, 5.9), (0.1, 3.0)):
+        ref = g.boundary_ode_rhs(m, i, f)
+        assert abs(g.boundary_ode_rhs(copy, i, f) - ref) <= 1e-10 * abs(ref), (i, f)
 
 
 def test_rhs_singular_on_sign_curve():
@@ -98,6 +126,20 @@ def test_minimal_boundary_recovers_ray():
     assert np.max(np.abs(ratios - lam)) < 1e-9
     # h column carries the sign curve
     assert np.allclose(b.h_grid, 2.0 * b.i_grid, rtol=1e-12, atol=0)
+
+
+def test_minimal_boundary_records_its_shots():
+    b = g.minimal_boundary(_m3(), 0.5, 2.0)
+    assert b.provenance == f"minimal-limit(n_shots={len(b.shots)}, converged=True)"
+    assert len(b.shots) >= 2
+    assert [s.start for s in b.shots] == [0.5 * 10.0**-k for k in range(1, len(b.shots) + 1)]
+    assert all(s.nfev > 0 for s in b.shots)
+    assert b.shots[0].rel_gap is None
+    assert all(s.rel_gap >= gb.SHOT_REL_TOL for s in b.shots[1:-1])
+    assert b.shots[-1].rel_gap < gb.SHOT_REL_TOL
+    (one,) = g.shoot_from_h(_m3(), 0.01, 2.0).shots
+    assert one.start == 0.01 and one.nfev > 0 and one.rel_gap is None
+    assert g.line_boundary(_m3(), 2.6, 0.5, 2.0).shots == ()
 
 
 def test_coefficient_minimal_boundary_converges_at_d8():
