@@ -61,6 +61,19 @@ def _check_dim(d: float) -> float:
     return d
 
 
+# F and dF/dlam for a checked d and lam > 0: the root finders' inner loop
+def _F(d: float, lam):
+    lam = np.asarray(lam, dtype=float)
+    out = lam**d - (1.0 + d) * lam**2 + 4.0 * _expm1_over(4.0 - d, np.log(lam)) + d
+    return float(out) if out.ndim == 0 else out
+
+
+def _dF(d: float, lam):
+    lam = np.asarray(lam, dtype=float)
+    out = d * lam ** (3.0 - d) * (lam ** (d - 2.0) - 2.0 / d) * (lam ** (d - 2.0) - 2.0)
+    return float(out) if out.ndim == 0 else out
+
+
 def bessel_characteristic(d: float, lam) -> float:
     """Characteristic function F(lam) whose positive root fixes the optimal ratio.
 
@@ -71,8 +84,7 @@ def bessel_characteristic(d: float, lam) -> float:
     lam = np.asarray(lam, dtype=float)
     if np.any(~np.isfinite(lam)) or np.any(lam <= 0.0):
         raise DomainError(f"need lam > 0, got {lam}")
-    out = lam**d - (1.0 + d) * lam**2 + 4.0 * _expm1_over(4.0 - d, np.log(lam)) + d
-    return float(out) if out.ndim == 0 else out
+    return _F(d, lam)
 
 
 def bessel_characteristic_derivative(d: float, lam) -> float:
@@ -85,8 +97,7 @@ def bessel_characteristic_derivative(d: float, lam) -> float:
     lam = np.asarray(lam, dtype=float)
     if np.any(~np.isfinite(lam)) or np.any(lam <= 0.0):
         raise DomainError(f"need lam > 0, got {lam}")
-    out = d * lam ** (3.0 - d) * (lam ** (d - 2.0) - 2.0 / d) * (lam ** (d - 2.0) - 2.0)
-    return float(out) if out.ndim == 0 else out
+    return _dF(d, lam)
 
 
 def bessel_lambda(d: float) -> float:
@@ -99,26 +110,26 @@ def bessel_lambda(d: float) -> float:
     """
     d = _check_dim(d)
     lo = 2.0 ** (1.0 / (d - 2.0)) * (1.0 + 1e-9)
-    if bessel_characteristic(d, lo) >= 0.0:
+    if _F(d, lo) >= 0.0:
         raise NumericalError(f"characteristic not negative at bracket start for d={d}")
     hi = lo
     for _ in range(200):
         hi *= 2.0
-        if bessel_characteristic(d, hi) > 0.0:
+        if _F(d, hi) > 0.0:
             break
     else:  # pragma: no cover
         raise NumericalError(f"failed to bracket the optimal ratio for d={d}")
 
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        fx = bessel_characteristic(d, x)
+        fx = _F(d, x)
         if fx == 0.0 or hi - lo <= 1e-15 * hi:
             return x
         if fx > 0.0:
             hi = x
         else:
             lo = x
-        dfx = bessel_characteristic_derivative(d, x)
+        dfx = _dF(d, x)
         x_new = x - fx / dfx if dfx != 0.0 else math.inf
         if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
@@ -137,13 +148,13 @@ def bessel_lambda_bisect(d: float) -> float:
     d = _check_dim(d)
     lo = 2.0 ** (1.0 / (d - 2.0)) * (1.0 + 1e-9)
     hi = lo
-    while bessel_characteristic(d, hi) <= 0.0:
+    while _F(d, hi) <= 0.0:
         hi *= 2.0
         if hi > 1e9:  # pragma: no cover
             raise NumericalError("bisection bracket ran away")
     while hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
-        if bessel_characteristic(d, mid) > 0.0:
+        if _F(d, mid) > 0.0:
             hi = mid
         else:
             lo = mid
@@ -207,10 +218,10 @@ class StoppedDistribution:
 
 def make_stopped_distribution(d: float, lam: float, x0: float) -> StoppedDistribution:
     d = _check_dim(d)
-    if not (lam > 1.0):
-        raise DomainError(f"need lam > 1, got {lam}")
-    if not (x0 > 0.0):
-        raise DomainError(f"need x0 > 0, got {x0}")
+    if not (lam > 1.0) or not math.isfinite(lam):
+        raise DomainError(f"need finite lam > 1, got {lam}")
+    if not (x0 > 0.0) or not math.isfinite(x0):
+        raise DomainError(f"need finite x0 > 0, got {x0}")
     p = (d - 2.0) / (1.0 - lam ** (-(d - 2.0)))
     return StoppedDistribution(d=d, lam=lam, x0=x0, p=p)
 
@@ -245,7 +256,7 @@ def stopped_mean(dist: StoppedDistribution) -> float:
 def stopped_quantile(dist: StoppedDistribution, q):
     """Inverse CDF: lam x0 q^(1/p) for q in [0, 1]."""
     q = np.asarray(q, dtype=float)
-    if np.any((q < 0.0) | (q > 1.0)):
+    if not np.all((q >= 0.0) & (q <= 1.0)):
         raise DomainError(f"quantile level must lie in [0, 1], got {q}")
     out = dist.lam * dist.x0 * q ** (1.0 / dist.p)
     return float(out) if out.ndim == 0 else out

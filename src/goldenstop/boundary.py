@@ -20,8 +20,9 @@ and take the increasing limit.  For Bessel models the limit is the exact ray
 lam(d) * i, which is what the tests pin the machinery against.
 
 The rhs is 0/0 on the curve f = h(i) (c vanishes there), so each shot
-first integrates the reciprocal form di/df (which vanishes cleanly at the
-start) until c reaches C_HANDOFF, then switches to the direct form.
+integrates the reciprocal form di/df = -c (L(f) - L(i)) / (sigma^2(f) L'(f) J)
+in f instead: it vanishes cleanly at the start and stays regular above h,
+where c > 0, L(f) > L(i) and J < 0.  One solve covers the whole shot.
 
 The expected remaining cost of an arbitrary increasing boundary f is
 
@@ -44,7 +45,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .diffusion import DiffusionModel, _integrate, _read_columns, h_curve
 from .errors import (
@@ -69,8 +69,6 @@ __all__ = [
     "boundary_from_csv",
 ]
 
-# c-level at which a shot switches from the reciprocal to the direct ODE form
-C_HANDOFF = 0.05
 # f above this multiple of h(i) counts as a diverged (non-minimal) shot
 DIVERGENCE_FACTOR = 1e6
 # |c| below this is treated as sitting on the singular curve
@@ -82,8 +80,8 @@ DELTA_SCALE = 1e-3
 
 
 class ShotRecord(NamedTuple):
-    """One shot: start on h, rhs evaluations (``nfev`` of both solve_ivp
-    phases), relative sup-norm gap to the previous shot (None for the first)."""
+    """One shot: start on h, rhs evaluations (``nfev`` of its one solve_ivp),
+    relative sup-norm gap to the previous shot (None for the first)."""
 
     start: float
     nfev: int
@@ -239,10 +237,10 @@ def boundary_ode_rhs(model: DiffusionModel, i: float, f: float) -> float:
 
 def _shot(model: DiffusionModel, i_start: float, i_max: float, nodes: np.ndarray):
     """(f at ``nodes`` (within [i_start, i_max]), rhs evaluations) along the
-    shot started on the sign-change curve at i_start.
-
-    Raises DivergenceError (with the blow-up abscissa) if f exceeds
-    DIVERGENCE_FACTOR * h(i) before reaching i_max.
+    shot started on the sign-change curve at i_start: one solve of di/df,
+    inverted at the nodes by Newton on its dense output.  Raises
+    DivergenceError (with the blow-up abscissa) if f exceeds
+    DIVERGENCE_FACTOR * h(i) before i reaches i_max.
     """
     i_start, i_max = float(i_start), float(i_max)
     h0 = float(h_curve(model, i_start))
@@ -256,95 +254,55 @@ def _shot(model: DiffusionModel, i_start: float, i_max: float, nodes: np.ndarray
         c, n, s, J = _rhs_terms(model, i, f)
         return [-c * n / (s * J)]
 
-    def ev_handoff(f, y):
-        return _c(model, y[0], f) - C_HANDOFF
-
-    ev_handoff.terminal = True
-    ev_handoff.direction = 1.0
-
-    def ev_overrun(f, y):
+    def ev_done(f, y):
         return y[0] - i_max
 
-    ev_overrun.terminal = True
+    def ev_diverge(f, y):  # h(i) unchecked: events see accepted steps only
+        return f - DIVERGENCE_FACTOR * float(model.scale_inverse(model.scale(y[0]) / 2.0))
 
-    sol1 = solve_ivp(
+    def ev_singular(f, y):  # c turns back down toward the sign-change curve
+        return _c(model, y[0], f) - 0.02
+
+    ev_diverge.direction, ev_singular.direction = 1.0, -1.0
+    ev_done.terminal = ev_diverge.terminal = ev_singular.terminal = True
+    # f passes DIVERGENCE_FACTOR * h(i) before this end unless i reaches i_max
+    f_end = 2.0 * DIVERGENCE_FACTOR * float(h_curve(model, i_max))
+    sol = solve_ivp(
         inv_rhs,
-        (h0, 100.0 * h0),
+        (h0, f_end),
         [i_start],
-        events=[ev_handoff, ev_overrun],
+        events=[ev_done, ev_diverge, ev_singular],
         dense_output=True,
         rtol=1e-9,
         atol=1e-13 * i_start,
-        method="RK45",
     )
-    if sol1.status == -1:
-        raise NumericalError(f"shot start integration failed: {sol1.message}")
-    if sol1.status != 1:
-        raise NumericalError(
-            "shot never left the singular neighbourhood "
-            f"(c < {C_HANDOFF} up to f = {100.0 * h0:g})"
+    if len(sol.t_events[1]):
+        at = float(sol.y_events[1][0][0])
+        raise DivergenceError(
+            f"shot from i={i_start:g} diverged (f > {DIVERGENCE_FACTOR:g} h) at i={at:g}",
+            blow_up_at=at,
         )
-    sol2 = None
-    if len(sol1.t_events[1]):
-        # handoff region covers the whole requested abscissa range
-        i_handoff, f_handoff = i_max, float(sol1.t_events[1][0])
+    if len(sol.t_events[2]):
+        at = float(sol.y_events[2][0][0])
+        raise NumericalError(f"shot from i={i_start:g} fell back to the singular curve at i={at:g}")
+    if not len(sol.t_events[0]):
+        raise NumericalError(f"shot from i={i_start:g} did not reach i_max: {sol.message}")
+
+    inner = nodes > i_start
+    target = nodes[inner]
+    f = np.interp(target, sol.y[0], sol.t)
+    for _ in range(20):
+        df = 1e-7 * f
+        below, mid, above = np.split(sol.sol(np.concatenate([f - df, f, f + df]))[0], 3)
+        step = (mid - target) * (2.0 * df) / (above - below)
+        f = f - step
+        if np.all(np.abs(step) <= 1e-12 * f):
+            break
     else:
-        i_handoff, f_handoff = float(sol1.y_events[0][0][0]), float(sol1.t_events[0][0])
-
-        def dir_rhs(i, y):
-            return [boundary_ode_rhs(model, i, y[0])]
-
-        def ev_diverge(i, y):  # h(i) unchecked: i stays in [i_handoff, i_max]
-            return y[0] - DIVERGENCE_FACTOR * float(model.scale_inverse(model.scale(i) / 2.0))
-
-        ev_diverge.terminal = True
-        ev_diverge.direction = 1.0
-
-        def ev_singular(i, y):
-            return _c(model, i, y[0]) - 0.4 * C_HANDOFF
-
-        ev_singular.terminal = True
-        ev_singular.direction = -1.0
-
-        sol2 = solve_ivp(
-            dir_rhs,
-            (i_handoff, i_max),
-            [f_handoff],
-            events=[ev_diverge, ev_singular],
-            dense_output=True,
-            rtol=1e-9,
-            atol=1e-13 * h0,
-            method="RK45",
-        )
-        if sol2.status == -1:
-            raise NumericalError(f"shot integration failed: {sol2.message}")
-        if len(sol2.t_events[0]):
-            at = float(sol2.t_events[0][0])
-            raise DivergenceError(
-                f"shot from i={i_start:g} diverged (f > {DIVERGENCE_FACTOR:g} h) "
-                f"at i={at:g}",
-                blow_up_at=at,
-            )
-        if len(sol2.t_events[1]):
-            at = float(sol2.t_events[1][0])
-            raise NumericalError(
-                f"shot from i={i_start:g} fell back to the singular curve at i={at:g}"
-            )
-
-    def i_gap(f, target):  # the start phase's monotone i(f), inverted by brentq
-        return float(sol1.sol(f)[0]) - target
-
-    out = np.empty_like(nodes)
-    for k, i in enumerate(nodes):
-        if i <= i_start:
-            out[k] = h0
-        elif i < i_handoff:
-            out[k] = brentq(i_gap, h0, f_handoff, args=(i,), xtol=1e-15 * f_handoff)
-        elif sol2 is None:
-            out[k] = f_handoff
-        else:
-            out[k] = float(sol2.sol(min(i, sol2.t[-1]))[0])
-    return out, sol1.nfev + (0 if sol2 is None else sol2.nfev)
+        raise NumericalError(f"inverting the shot from i={i_start:g} did not converge")
+    out = np.full_like(nodes, h0)
+    out[inner] = f
+    return out, sol.nfev
 
 
 def _grid(model: DiffusionModel, i_lo: float, i_max: float, n_grid: int, name: str):

@@ -1,5 +1,5 @@
 """Tier-1 footprint: engine passes, path-steps stepped, solver quadratures,
-source lines and public names.
+boundary shot solves, source lines and public names.
 
 Every Monte Carlo pass runs through ``simulate._sharded`` (``cev`` imports
 the same function), so a session-wide wrapper in both modules counts the
@@ -7,9 +7,11 @@ passes and adds the ``path_steps_stepped`` of each result that carries
 it.  Tests that patch ``_sharded`` themselves wrap this wrapper and still
 see every call.  Every solver quadrature runs through
 ``diffusion._integrate``, which ``boundary`` and ``bessel`` import by name,
-so a wrapper in all three modules counts them.  The totals, the line count
-of ``src/goldenstop/*.py`` and ``len(goldenstop.__all__)`` are printed as
-one line at the end of the run; no test reads them.
+so a wrapper in all three modules counts them.  A wrapper of
+``boundary.solve_ivp`` counts the ODE solves of the boundary shots.  The
+totals, the line count of ``src/goldenstop/*.py`` and
+``len(goldenstop.__all__)`` are printed as one line at the end of the run;
+no test reads them.
 """
 
 from pathlib import Path
@@ -17,14 +19,14 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "goldenstop"
-footprint = {"passes": 0, "path_steps": 0, "quadratures": 0}
+footprint = {"passes": 0, "path_steps": 0, "quadratures": 0, "solves": 0}
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _count_engine_passes():
     from goldenstop import bessel, boundary, cev, diffusion, simulate
 
-    sharded, integrate = simulate._sharded, diffusion._integrate
+    sharded, integrate, solve_ivp = simulate._sharded, diffusion._integrate, boundary.solve_ivp
 
     def counting(run, n_paths):
         footprint["passes"] += 1
@@ -36,9 +38,14 @@ def _count_engine_passes():
         footprint["quadratures"] += 1
         return integrate(*args, **kwargs)
 
+    def counting_solve_ivp(*args, **kwargs):
+        footprint["solves"] += 1
+        return solve_ivp(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_sharded", counting)
         mp.setattr(cev, "_sharded", counting)
+        mp.setattr(boundary, "solve_ivp", counting_solve_ivp)
         for module in (diffusion, boundary, bessel):
             mp.setattr(module, "_integrate", counting_integrate)
         yield
@@ -52,6 +59,7 @@ def pytest_terminal_summary(terminalreporter):
         f"goldenstop footprint: {footprint['passes']} engine passes, "
         f"{footprint['path_steps']:,} path-steps stepped, "
         f"{footprint['quadratures']:,} solver quadratures, "
+        f"{footprint['solves']:,} shot solves, "
         f"{lines:,} lines in src/goldenstop/*.py, "
         f"{len(goldenstop.__all__)} public names"
     )

@@ -182,8 +182,16 @@ def test_stopped_law_shape():
     for q in (0.05, 0.5, 0.99):
         y = g.stopped_quantile(dist, q)
         assert abs(g.stopped_cdf(dist, y) - q) < 1e-12
-    with pytest.raises(g.DomainError):
-        g.stopped_quantile(dist, 1.5)
+    for q in (1.5, math.nan, math.inf):
+        with pytest.raises(g.DomainError):
+            g.stopped_quantile(dist, q)
+
+
+def test_stopped_law_rejects_non_finite_parameters():
+    lam = g.bessel_lambda(3.0)
+    for bad_lam, bad_x0 in ((math.inf, 1.0), (math.nan, 1.0), (lam, math.inf), (lam, math.nan)):
+        with pytest.raises(g.DomainError):
+            g.make_stopped_distribution(3.0, bad_lam, bad_x0)
 
 
 def test_stopped_cdf_general_matches_power_law():

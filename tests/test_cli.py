@@ -110,23 +110,23 @@ def test_boundary_shooting_csv_exact_text():
     assert res.exit_code == 0
     assert res.output == (
         "i,f,h,f_over_i\n"
-        "0.5,1.3090169943737195,1,2.6180339887474391\n"
-        "0.54525386633262884,1.42749315455482,1.0905077326652577,2.6180339887475208\n"
-        "0.59460355750136051,1.5566923233686523,1.189207115002721,2.618033988747352\n"
-        "0.64841977732550482,1.6975850160141763,1.2968395546510096,2.6180339887473756\n"
-        "0.70710678118654757,1.8512295868205462,1.4142135623730951,2.6180339887479573\n"
-        "0.77110541270397037,2.0187801793669777,1.5422108254079407,2.6180339887485569\n"
-        "0.8408964152537145,2.2014953961514574,1.6817928305074292,2.6180339887490471\n"
-        "0.91700404320467122,2.4007477529304819,1.8340080864093424,2.6180339887494322\n"
-        "1,2.6180339887497164,2,2.6180339887497164\n"
-        "1.0905077326652577,2.8549863091122401,2.1810154653305154,2.6180339887499056\n"
-        "1.189207115002721,3.113384646740462,2.3784142300054421,2.6180339887500068\n"
-        "1.2968395546510096,3.3951700320317952,2.5936791093020193,2.6180339887500299\n"
-        "1.4142135623730949,3.7024591736439656,2.8284271247461898,2.6180339887499895\n"
-        "1.5422108254079407,4.037560358736032,3.0844216508158815,2.6180339887499033\n"
-        "1.681792830507429,4.4029907923041822,3.3635856610148585,2.6180339887498008\n"
-        "1.8340080864093424,4.8014955058614914,3.6680161728186849,2.6180339887497199\n"
-        "2,5.2360679774994292,4,2.6180339887497146\n"
+        "0.5,1.3090169943723329,1,2.6180339887446658\n"
+        "0.54525386633262884,1.4274931545541143,1.0905077326652577,2.6180339887462267\n"
+        "0.59460355750136051,1.5566923233687477,1.189207115002721,2.6180339887475124\n"
+        "0.64841977732550482,1.6975850160149268,1.2968395546510096,2.6180339887485329\n"
+        "0.70710678118654757,1.8512295868214954,1.4142135623730951,2.6180339887492998\n"
+        "0.77110541270397037,2.018780179367957,1.5422108254079407,2.618033988749827\n"
+        "0.8408964152537145,2.2014953961523673,1.6817928305074292,2.6180339887501294\n"
+        "0.91700404320467122,2.4007477529312151,1.8340080864093424,2.6180339887502315\n"
+        "1,2.6180339887501645,2,2.6180339887501645\n"
+        "1.0905077326652577,2.8549863091123129,2.1810154653305154,2.6180339887499722\n"
+        "1.189207115002721,3.1133846467401192,2.3784142300054421,2.6180339887497186\n"
+        "1.2968395546510096,3.3951700320310985,2.5936791093020193,2.6180339887494926\n"
+        "1.4142135623730949,3.7024591736431605,2.8284271247461898,2.6180339887494202\n"
+        "1.5422108254079407,4.0375603587354849,3.0844216508158815,2.6180339887495485\n"
+        "1.681792830507429,4.4029907923039717,3.3635856610148585,2.618033988749676\n"
+        "1.8340080864093424,4.8014955058616202,3.6680161728186849,2.6180339887497901\n"
+        "2,5.2360679774997836,4,2.6180339887498918\n"
     )
 
 
@@ -180,9 +180,12 @@ def test_out_into_missing_directory_fails_cleanly(tmp_path):
 
 
 def test_domain_error_exit_2():
-    res = CliRunner().invoke(main, ["lambda", "-d", "2.0"])
-    assert res.exit_code == 2
-    assert "error:" in res.stderr
+    for args in (["lambda", "-d", "2.0"],
+                 ["distribution", "--lam", "inf"],
+                 ["distribution", "--x0", "inf"]):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2, args
+        assert "error:" in res.stderr
 
 
 def test_bad_rule_text_exit_2():
