@@ -204,10 +204,12 @@ def future_min_checks(
     """P(dip below 1 from x0=2) vs the scale-ratio law at d=3 and d=4.
 
     The exact values are 1/2 and 1/4.  The completed estimate (1 for a
-    path that dipped, L(X_T)/L(1) for one still above 1 at the horizon) is
-    unbiased, so |estimate - exact| must stay within 3 of its standard
-    errors plus a discretisation allowance of 0.005.  The detail reports
-    the survivors' analytic share of the estimate.
+    path that dipped, L(X_tau)/L(1) for one that retired above 1, at the
+    exit level 2 + sqrt(horizon) or at the horizon) is unbiased, so
+    |estimate - exact| must stay within 3 of its standard errors plus a
+    discretisation allowance of 0.005.  The detail reports the
+    non-dipped paths' analytic share of the estimate, the exit level and
+    the share of paths that retired there.
     """
     out = []
     for d, target in ((3.0, 0.5), (4.0, 0.25)):
@@ -226,7 +228,9 @@ def future_min_checks(
                 passed=diff <= tol,
                 detail=(
                     f"completed estimate {est.mean:.4f} (analytic share "
-                    f"{est.extra['analytic_share']:.4f}) vs exact {target}; se {est.std_error:.2g}"
+                    f"{est.extra['analytic_share']:.4f}) vs exact {target}; se {est.std_error:.2g}; "
+                    f"exit level {est.extra['exit_level']:.4f} reached by "
+                    f"{est.extra['exit_fraction']:.1%} of paths"
                 ),
             )
         )

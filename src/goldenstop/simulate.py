@@ -228,14 +228,16 @@ def make_path_stream(seed: int, index: int) -> PathStream:
 
 @dataclass(frozen=True)
 class _DipProbe:
-    """Internal pseudo-rule: fires once the running minimum falls below level."""
+    """Internal pseudo-rule: fires once the running minimum falls below
+    level, or once the state climbs to exit (never, at the default inf)."""
 
     level: float
+    exit: float = math.inf
     variant = "dip"
 
     @property
     def rule_id(self) -> str:
-        return f"future-min(level={self.level:.17g})"
+        return f"future-min(level={self.level:.17g}, exit={self.exit:.17g})"
 
 
 def _ratio_of(rule, model: DiffusionModel) -> Optional[float]:
@@ -289,7 +291,7 @@ def _trigger(rule, model: DiffusionModel, step: float):
     if rule.variant == "fixed_time":
         k_stop = _steps(rule.t, step)
         return lambda x, i, t: t >= k_stop
-    return lambda x, i, t: i < rule.level
+    return lambda x, i, t: (i < rule.level) | (x >= rule.exit)
 
 
 # ---------------------------------------------------------------------------
@@ -712,24 +714,36 @@ def estimate_future_min_prob(
     scheme: str = "euler",
     bridge: bool = True,
 ) -> MonteCarloEstimate:
-    """P(the path ever dips below ``level``), completed at the horizon.
+    """P(the path ever dips below ``level``), completed at a two-sided exit.
 
-    Paths retire as soon as they dip (their contribution is settled), so
-    the pass is much cheaper than a fixed-horizon run.  Each path's value
-    is 1 if it dipped and, if it is still above the level at the horizon,
-    its exact conditional dip probability L(X_T)/L(level); the mean of
-    these values is unbiased for L(x0)/L(level), and the standard error is
-    theirs.  The survivors' share of the mean is extra["analytic_share"].
+    A path retires at tau, the first of: its running minimum dips below
+    the level, its state climbs to the exit level M = x0 + sigma(x0)
+    sqrt(horizon) (one diffusive spread over the horizon above the start),
+    or the horizon.  Its value is 1 if it dipped, and otherwise its exact
+    conditional dip probability L(X_tau)/L(level).  By the strong Markov
+    property that value is E[1{dip ever} | path to tau] at any stopping
+    time tau, so the mean is unbiased for L(x0)/L(level) wherever M sits.
+    M trades path-steps (the lanes that climb away are the ones that
+    would run to the horizon) against the share of the mean that the
+    scale ratio supplies rather than the simulation: a lower M retires
+    more lanes sooner, a higher one grades more of the law by Monte Carlo.
+    The standard error is that of the per-path values.  The non-dipped
+    paths' share of the mean is extra["analytic_share"], M is
+    extra["exit_level"] and the share of paths that retired there
+    extra["exit_fraction"]; truncated_fraction counts the paths that
+    reached the horizon.
     """
     if not (0.0 < level < x0):
         raise DomainError(f"need 0 < level < x0, got level={level}, x0={x0}")
+    exit_level = float(x0) + float(model.volatility(x0)) * math.sqrt(horizon)
     res = simulate_rules(
-        model, x0, [_DipProbe(level=float(level))], n_paths,
+        model, x0, [_DipProbe(level=float(level), exit=exit_level)], n_paths,
         seed=seed, step=step, horizon=horizon, scheme=scheme, bridge=bridge,
     )
-    surv = res.truncated[0]
+    trunc = res.truncated[0]
+    rest = ~(res.i_stop[0] < level)  # exited or truncated
     completed = np.ones(n_paths)
-    completed[surv] = np.asarray(model.scale(res.x_stop[0, surv]), dtype=float) / float(model.scale(level))
+    completed[rest] = np.asarray(model.scale(res.x_stop[0, rest]), dtype=float) / float(model.scale(level))
     mean, se = _mean_se(completed)
     return MonteCarloEstimate(
         mean=mean,
@@ -739,6 +753,10 @@ def estimate_future_min_prob(
         step=step,
         rule_id=res.rule_ids[0],
         horizon=horizon,
-        truncated_fraction=float(np.mean(surv)),
-        extra={"analytic_share": float(np.sum(completed[surv])) / n_paths},
+        truncated_fraction=float(np.mean(trunc)),
+        extra={
+            "analytic_share": float(np.sum(completed[rest])) / n_paths,
+            "exit_level": exit_level,
+            "exit_fraction": float(np.mean(rest & ~trunc)),
+        },
     )

@@ -1,15 +1,16 @@
-"""Tier-1 footprint: engine passes, path-steps stepped, solver quadratures,
-boundary shot solves, source lines and public names.
+"""Tier-1 footprint: engine passes, path-steps stepped and consumed, solver
+quadratures, boundary shot solves, source lines and public names.
 
 Every Monte Carlo pass runs through ``simulate._sharded`` (``cev`` imports
 the same function), so a session-wide wrapper in both modules counts the
 passes and adds the ``path_steps_stepped`` of each result that carries
-it.  Tests that patch ``_sharded`` themselves wrap this wrapper and still
-see every call.  Every solver quadrature runs through
-``diffusion._integrate``, which ``boundary`` and ``bessel`` import by name,
-so a wrapper in all three modules counts them.  A wrapper of
-``boundary.solve_ivp`` counts the ODE solves of the boundary shots.  The
-totals, the line count of ``src/goldenstop/*.py`` and
+it, and its path-steps consumed: the per-path maximum of ``stop_step``
+over the pass's rules, summed over paths.  Tests that patch ``_sharded``
+themselves wrap this wrapper and still see every call.  Every solver
+quadrature runs through ``diffusion._integrate``, which ``boundary`` and
+``bessel`` import by name, so a wrapper in all three modules counts them.
+A wrapper of ``boundary.solve_ivp`` counts the ODE solves of the boundary
+shots.  The totals, the line count of ``src/goldenstop/*.py`` and
 ``len(goldenstop.__all__)`` are printed as one line at the end of the run;
 no test reads them.
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "goldenstop"
-footprint = {"passes": 0, "path_steps": 0, "quadratures": 0, "solves": 0}
+footprint = {"passes": 0, "path_steps": 0, "consumed": 0, "quadratures": 0, "solves": 0}
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -32,6 +33,8 @@ def _count_engine_passes():
         footprint["passes"] += 1
         out = sharded(run, n_paths)
         footprint["path_steps"] += getattr(out, "path_steps_stepped", 0)
+        if hasattr(out, "stop_step"):
+            footprint["consumed"] += int(out.stop_step.max(axis=0).sum())
         return out
 
     def counting_integrate(*args, **kwargs):
@@ -58,6 +61,7 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(
         f"goldenstop footprint: {footprint['passes']} engine passes, "
         f"{footprint['path_steps']:,} path-steps stepped, "
+        f"{footprint['consumed']:,} path-steps consumed, "
         f"{footprint['quadratures']:,} solver quadratures, "
         f"{footprint['solves']:,} shot solves, "
         f"{lines:,} lines in src/goldenstop/*.py, "

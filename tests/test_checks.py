@@ -97,7 +97,8 @@ def _fake_dip(mean, share, se):
     def estimate(model, x0, level, n_paths, seed, step, horizon):
         return MonteCarloEstimate(mean=mean, std_error=se, n_paths=n_paths, seed=seed,
                                   step=step, rule_id="dip", horizon=horizon,
-                                  extra={"analytic_share": share})
+                                  extra={"analytic_share": share, "exit_level": 6.4721,
+                                         "exit_fraction": 0.559})
     return estimate
 
 
@@ -110,6 +111,7 @@ def test_future_min_grades_the_completed_estimate(monkeypatch):
     assert r3.tolerance == pytest.approx(3 * se + checks._DIP_ALLOWANCE)
     assert "completed estimate 0.5000 (analytic share 0.0880)" in r3.detail
     assert "se 0.003" in r3.detail
+    assert "exit level 6.4721 reached by 55.9% of paths" in r3.detail
     # one a whole analytic share too high (the survivors counted twice) fails
     monkeypatch.setattr(checks, "estimate_future_min_prob", _fake_dip(0.5 + share, share, se))
     r3, _ = checks.future_min_checks()

@@ -28,6 +28,20 @@ def test_bessel_scale_closed_forms():
     assert np.all(np.asarray(m5.volatility(xs)) == 1.0)
 
 
+@pytest.mark.parametrize("d", [2.5, 3.0, 4.0, 4.5, 10.0])
+def test_bessel_scale_float_path_is_the_array_path(d):
+    """A float argument takes its own path; it returns what the 0-d array
+    path returns, bit for bit (the shooting solver's pins rest on it)."""
+    m = g.make_bessel_model(d)
+    xs = np.geomspace(0.01, 100.0, 4001)
+    for f, pts in ((m.scale, xs), (m.scale_deriv, xs), (m.scale_inverse, m.scale(xs))):
+        one = [f(float(x)) for x in pts]
+        assert all(isinstance(v, np.float64) for v in one)
+        assert np.array_equal([f(np.asarray(x)) for x in pts], one)
+    assert np.array_equal(m.scale(xs), [m.scale(float(x)) for x in xs])
+    assert np.array_equal(m.scale_deriv(xs), [m.scale_deriv(float(x)) for x in xs])
+
+
 def test_bessel_dimension_domain():
     for bad in (2.0, 1.0, 0.0, -3.0, math.nan):
         with pytest.raises(g.DomainError):

@@ -165,6 +165,22 @@ def test_replay_oracle_truncated_paths():
     assert np.all(res.stop_step[0][res.truncated[0]] == 25)
 
 
+def _assert_rows_replay(res, model, x0, rules, seed, step, horizon, **kw):
+    """simulate_path reproduces every (rule, path) row of ``res`` bit for bit."""
+    for j, rule in enumerate(rules):
+        for p in range(res.stop_step.shape[1]):
+            po = g.simulate_path(model, x0, step, rule, horizon, g.make_path_stream(seed, p), **kw)
+            assert po == g.PathOutcome(
+                stop_time=float(res.stop_step[j, p]) * step,
+                x_stop=float(res.x_stop[j, p]),
+                i_stop=float(res.i_stop[j, p]),
+                objective_integral=float(res.objective[j, p]),
+                theta_proxy=float(res.theta_step[j, p]) * step,
+                n_steps=int(res.stop_step[j, p]),
+                truncated=bool(res.truncated[j, p]),
+            ), (j, p)
+
+
 def test_simulate_path_matches_batch_row():
     """simulate_path(seed, k) reproduces path k of a batch run exactly."""
     model = g.make_bessel_model(3.0)
@@ -188,18 +204,7 @@ def test_simulate_path_matches_custom_model_rows(custom3):
     rules = [g.StoppingRule.ratio_rule(LAM3), g.StoppingRule.fixed_time_rule(0.3)]
     n, step, horizon = 29, 1e-2, 50.0
     res = simulate_rules(custom3, 1.0, rules, n, seed=7, step=step, horizon=horizon)
-    for j, rule in enumerate(rules):
-        for p in range(n):
-            po = g.simulate_path(custom3, 1.0, step, rule, horizon, g.make_path_stream(7, p))
-            assert po == g.PathOutcome(
-                stop_time=float(res.stop_step[j, p]) * step,
-                x_stop=float(res.x_stop[j, p]),
-                i_stop=float(res.i_stop[j, p]),
-                objective_integral=float(res.objective[j, p]),
-                theta_proxy=float(res.theta_step[j, p]) * step,
-                n_steps=int(res.stop_step[j, p]),
-                truncated=bool(res.truncated[j, p]),
-            ), (j, p)
+    _assert_rows_replay(res, custom3, 1.0, rules, seed=7, step=step, horizon=horizon)
     assert np.all(res.stop_step[1] == 30) and res.stop_step[0].max() > 30
 
 
@@ -228,11 +233,18 @@ def test_chunk_and_block_invariance():
         (1.0, rules, dict(scheme="exact")),
         (1.0, [g.StoppingRule.boundary_rule(pchip)], {}),
         (2.0, [_DipProbe(level=1.0)], {}),
+        (2.0, [_DipProbe(level=1.0, exit=3.0)], {}),
     ]
     for x0, case_rules, extra in cases:
         ref = simulate_rules(model, x0, case_rules, 40, **kw, **extra)
         for blocks in (11, 256):
             pairs.append((ref, _lanes(7, blocks, model, x0, case_rules, 40, **kw, **extra)))
+
+    # the two-sided probe retires lanes at both ends and at the horizon,
+    # and each of its rows replays one path at a time
+    exits = (ref.x_stop[0] >= 3.0) & ~ref.truncated[0]
+    assert exits.any() and (ref.i_stop[0] < 1.0).any() and ref.truncated[0].any()
+    _assert_rows_replay(ref, model, 2.0, case_rules, **kw)
 
     for base, other in pairs:
         assert np.array_equal(base.stop_step, other.stop_step)
@@ -575,18 +587,41 @@ def test_step_halving_consistency():
     assert abs(e1.mean - e2.mean) <= 3.0 * math.hypot(e1.std_error, e2.std_error)
 
 
-def test_future_min_probability_reduced_scale():
-    model = g.make_bessel_model(3.0)
-    est = g.estimate_future_min_prob(model, 2.0, 1.0, n_paths=3000,
-                                     seed=42, step=1e-3, horizon=20.0)
-    assert abs(est.mean - 0.5) <= 3.0 * est.std_error + 0.015
-    # survivors complete with L(X_T)/L(level) in (0, 1), dipped paths with 1
-    share = est.extra["analytic_share"]
-    assert 0.0 < share < est.truncated_fraction
-    assert est.mean == pytest.approx(1.0 - est.truncated_fraction + share, abs=1e-12)
-    # the completed value is E[1{dip} | path to T], so its se stays below
-    # that of the dip indicator itself (variance 1/4 at P = 1/2)
-    assert est.std_error < math.sqrt(0.25 / 3000)
+def test_future_min_probability_reduced_scale(monkeypatch):
+    n, kw = 3000, dict(seed=42, step=1e-3, horizon=20.0)
+    passes = []
+    batch = simulate.simulate_rules
+    monkeypatch.setattr(simulate, "simulate_rules",
+                        lambda *a, **k: passes.append(batch(*a, **k)) or passes[-1])
+    for d, target in ((3.0, 0.5), (4.0, 0.25)):
+        model = g.make_bessel_model(d)
+        passes.clear()
+        est = g.estimate_future_min_prob(model, 2.0, 1.0, n_paths=n, **kw)
+        (res,) = passes
+        assert abs(est.mean - target) <= 3.0 * est.std_error + 0.015
+        # dipped paths complete with 1, the others (exited at M = 2 + sqrt(20),
+        # or truncated) with L(X_tau)/L(level) in (0, 1)
+        M = est.extra["exit_level"]
+        assert M == 2.0 + math.sqrt(20.0)
+        dipped = float(np.mean(res.i_stop[0] < 1.0))
+        exited = (res.x_stop[0] >= M) & ~res.truncated[0]
+        assert est.extra["exit_fraction"] == float(np.mean(exited)) > 0.5
+        assert est.truncated_fraction == float(np.mean(res.truncated[0]))
+        assert dipped + est.extra["exit_fraction"] + est.truncated_fraction == pytest.approx(1.0, abs=1e-12)
+        share = est.extra["analytic_share"]
+        assert 0.0 < share < 1.0 - dipped
+        assert est.mean == pytest.approx(dipped + share, abs=1e-12)
+        # the completed value is E[1{dip} | path to tau], so its se stays
+        # below that of the dip indicator itself
+        assert est.std_error < math.sqrt(target * (1.0 - target) / n)
+
+        # against a dip-only probe on the same streams: fewer path-steps, and
+        # the analytic share rises only by P(dip after the exit) - P(dip after T)
+        only = batch(model, 2.0, [_DipProbe(level=1.0)], n, **kw)
+        assert res.path_steps_stepped < only.path_steps_stepped
+        surv = only.truncated[0]
+        share_only = float(np.sum(model.scale(only.x_stop[0, surv]) / model.scale(1.0))) / n
+        assert share - share_only <= 0.015
     with pytest.raises(g.DomainError):
         g.estimate_future_min_prob(model, 1.0, 1.5, n_paths=10, seed=1)
 
@@ -690,6 +725,7 @@ def test_sharded_pass_equals_serial(monkeypatch, custom3):
         (model, 0.4, [golden, R.fixed_time_rule(0.5)], dict(scheme="exact")),
         (model, 1.0, [R.boundary_rule(pchip)], {}),
         (model, 2.0, [_DipProbe(level=1.0)], {}),
+        (model, 2.0, [_DipProbe(level=1.0, exit=3.0)], {}),
         (model, 1.0, [R.fixed_time_rule(0.0), R.fixed_time_rule(0.25)], {}),
         (model, 1.0, [R.ratio_rule(4.0)], dict(horizon=0.25)),
         (custom3, 3.0, [golden], dict(step=2e-3, horizon=0.5)),
@@ -705,6 +741,9 @@ def test_sharded_pass_equals_serial(monkeypatch, custom3):
         assert sharded.rule_ids == serial.rule_ids
         if kw["horizon"] == 0.25:
             assert serial.truncated.any()
+        if isinstance(rules[0], _DipProbe) and rules[0].exit < math.inf:
+            assert (sharded.x_stop[0] >= rules[0].exit).any()
+            _assert_rows_replay(sharded, model_, x0, rules, **kw)
 
 
 def test_scheme_error_in_worker_shard_reaches_caller(monkeypatch, custom3):
