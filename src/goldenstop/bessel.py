@@ -50,9 +50,6 @@ __all__ = [
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
-# d within this distance of 4 uses the logarithmic branch of the value
-_D4_SWITCH = 1e-8
-
 
 def _check_dim(d: float) -> float:
     d = float(d)
@@ -167,7 +164,9 @@ def bessel_value(d: float, lam: float, i: float, x: float) -> float:
     Valid in i <= x <= lam i where it is strictly negative (except at the
     boundary), and defined as 0 for x >= lam i.  Matches the quadrature
     value of the generic machinery when lam solves the characteristic
-    equation.
+    equation.  The d - 4 term (q^(d-4) - 1)/(d-4), q = lam i / x, goes
+    through expm1, so its limit ln q at d = 4 is reached without a branch
+    or cancellation.
     """
     d = _check_dim(d)
     if not (lam > 1.0) or not math.isfinite(lam):
@@ -178,18 +177,11 @@ def bessel_value(d: float, lam: float, i: float, x: float) -> float:
         return 0.0
     q = lam * i / x
     r = i / x
-    if abs(d - 4.0) < _D4_SWITCH:
-        val = (
-            x**2 * (0.5 + r**2) * (q**2 - 1.0)
-            - x**2 / 4.0 * (q**4 - 1.0)
-            - 2.0 * i**2 * math.log(q)
-        )
-    else:
-        val = (2.0 / (d - 2.0)) * (
-            x**2 * (0.5 + r ** (d - 2.0)) * (q**2 - 1.0)
-            - x**2 / d * (q**d - 1.0)
-            - 2.0 * lam ** (4.0 - d) / (d - 4.0) * i**2 * (q ** (d - 4.0) - 1.0)
-        )
+    val = (2.0 / (d - 2.0)) * (
+        x**2 * (0.5 + r ** (d - 2.0)) * (q**2 - 1.0)
+        - x**2 / d * (q**d - 1.0)
+        - 2.0 * lam ** (4.0 - d) * i**2 * _expm1_over(d - 4.0, math.log(q))
+    )
     return float(val)
 
 

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
-from .diffusion import DiffusionModel, _integrate, _read_columns, h_curve
+from .diffusion import DiffusionModel, _integrate, _read_columns, c_value, h_curve
 from .errors import (
     ConsistencyError,
     DivergenceError,
@@ -193,11 +193,6 @@ def line_boundary(
     )
 
 
-def _c(model: DiffusionModel, i, f) -> float:
-    """Cost c(i, f) = 1 - 2 L(f)/L(i); zero on the sign-change curve."""
-    return 1.0 - 2.0 * float(model.scale(f)) / float(model.scale(i))
-
-
 def _rhs_terms(model: DiffusionModel, i: float, f: float):
     """(c, L(f) - L(i), sigma^2(f) L'(f), J(i, f)): the terms of both ODE forms."""
     L, Lp, sig = model.scale, model.scale_deriv, model.volatility
@@ -239,8 +234,9 @@ def _shot(model: DiffusionModel, i_start: float, i_max: float, nodes: np.ndarray
     """(f at ``nodes`` (within [i_start, i_max]), rhs evaluations) along the
     shot started on the sign-change curve at i_start: one solve of di/df,
     inverted at the nodes by Newton on its dense output.  Raises
-    DivergenceError (with the blow-up abscissa) if f exceeds
-    DIVERGENCE_FACTOR * h(i) before i reaches i_max.
+    DivergenceError (with the blow-up abscissa: the i of the first accepted
+    step past the factor) if f exceeds DIVERGENCE_FACTOR * h(i) before i
+    reaches i_max.
     """
     i_start, i_max = float(i_start), float(i_max)
     h0 = float(h_curve(model, i_start))
@@ -257,40 +253,40 @@ def _shot(model: DiffusionModel, i_start: float, i_max: float, nodes: np.ndarray
     def ev_done(f, y):
         return y[0] - i_max
 
-    def ev_diverge(f, y):  # h(i) unchecked: events see accepted steps only
-        return f - DIVERGENCE_FACTOR * float(model.scale_inverse(model.scale(y[0]) / 2.0))
-
-    def ev_singular(f, y):  # c turns back down toward the sign-change curve
-        return _c(model, y[0], f) - 0.02
-
-    ev_diverge.direction, ev_singular.direction = 1.0, -1.0
-    ev_done.terminal = ev_diverge.terminal = ev_singular.terminal = True
+    ev_done.terminal = True
     # f passes DIVERGENCE_FACTOR * h(i) before this end unless i reaches i_max
     f_end = 2.0 * DIVERGENCE_FACTOR * float(h_curve(model, i_max))
     sol = solve_ivp(
         inv_rhs,
         (h0, f_end),
         [i_start],
-        events=[ev_done, ev_diverge, ev_singular],
+        events=[ev_done],
         dense_output=True,
         rtol=1e-9,
         atol=1e-13 * i_start,
     )
-    if len(sol.t_events[1]):
-        at = float(sol.y_events[1][0][0])
+    # the verdicts read the accepted steps; divergence first, since a
+    # diverging shot may run past the model's domain
+    i_steps, f_steps = sol.y[0], sol.t
+    past = np.flatnonzero(f_steps > DIVERGENCE_FACTOR * h_curve(model, i_steps))
+    if past.size:
+        at = float(i_steps[past[0]])
         raise DivergenceError(
             f"shot from i={i_start:g} diverged (f > {DIVERGENCE_FACTOR:g} h) at i={at:g}",
             blow_up_at=at,
         )
-    if len(sol.t_events[2]):
-        at = float(sol.y_events[2][0][0])
+    # c turns back down through 0.02 toward the sign-change curve
+    c = c_value(model, i_steps, f_steps)
+    fell = np.flatnonzero((c[:-1] >= 0.02) & (c[1:] <= 0.02))
+    if fell.size:
+        at = float(i_steps[fell[0] + 1])
         raise NumericalError(f"shot from i={i_start:g} fell back to the singular curve at i={at:g}")
     if not len(sol.t_events[0]):
         raise NumericalError(f"shot from i={i_start:g} did not reach i_max: {sol.message}")
 
     inner = nodes > i_start
     target = nodes[inner]
-    f = np.interp(target, sol.y[0], sol.t)
+    f = np.interp(target, i_steps, f_steps)
     for _ in range(20):
         df = 1e-7 * f
         below, mid, above = np.split(sol.sol(np.concatenate([f - df, f, f + df]))[0], 3)
@@ -477,7 +473,7 @@ def free_boundary_residuals(
     vm, v0, vp = V(i, x - dx), V(i, x), V(i, x + dx)
     v_x = (vp - vm) / (2.0 * dx)
     v_xx = (vp - 2.0 * v0 + vm) / dx**2
-    c = _c(model, i, x)
+    c = c_value(model, i, x)
     pde = float(model.drift(x)) * v_x + 0.5 * float(model.volatility(x)) ** 2 * v_xx + c
 
     # smooth fit at the boundary: true value vanishes beyond f(i)

@@ -110,9 +110,7 @@ def cev_rule_threshold(cev: CevModel) -> float:
     The optimal sell rule on the price side is: stop once the running
     maximum S exceeds this multiple of the current price.
     """
-    lam = bessel_lambda(cev.d)
-    nu = cev.d - 2.0
-    return lam if nu == 1.0 else lam**nu
+    return bessel_lambda(cev.d) ** (cev.d - 2.0)
 
 
 def retracement_fraction() -> float:

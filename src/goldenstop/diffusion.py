@@ -194,27 +194,16 @@ def make_bessel_model(d: float) -> DiffusionModel:
         x = np.asarray(x, dtype=float)
         return np.ones_like(x) if x.ndim else 1.0
 
-    # a float argument skips np.asarray (the shooting solver calls these
-    # once per scalar) and keeps the pow the 0-d array would take: the
-    # ufunc for x ** p, numpy's scalar pow for scale_inverse's negated
-    # 0-d array; they differ in the last bit for some arguments
     def scale(x):
-        if isinstance(x, float):
-            return -np.power(x, -nu)
-        return -np.asarray(x, dtype=float) ** (-nu)
+        return -np.power(x, -nu)
 
     def scale_deriv(x):
-        if isinstance(x, float):
-            return nu * np.power(x, -nu - 1.0)
-        return nu * np.asarray(x, dtype=float) ** (-nu - 1.0)
+        return nu * np.power(x, -nu - 1.0)
 
     def scale_inverse(v):
-        if isinstance(v, float) and v < 0.0:
-            return np.float64(-v) ** (-1.0 / nu)
-        v = np.asarray(v, dtype=float)
-        if np.any(v >= 0.0):
+        if np.any(np.asarray(v) >= 0.0):
             raise DomainError(f"scale inverse needs a negative argument, got {v}")
-        return (-v) ** (-1.0 / nu)
+        return np.power(np.negative(v), -1.0 / nu)
 
     def speed_density(x):
         return (2.0 / nu) * np.asarray(x, dtype=float) ** (d - 1.0)

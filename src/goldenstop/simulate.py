@@ -244,8 +244,7 @@ def _ratio_of(rule, model: DiffusionModel) -> Optional[float]:
     """The lam for which ``rule`` is the ratio rule X >= lam * I, else None.
 
     A drawdown threshold kappa maps through the Bessel price map to
-    lam = kappa^(1/(d-2)); at d = 3 that is kappa itself, kept bit-exact
-    rather than routed through pow().
+    lam = kappa^(1/(d-2)); at d = 3 the pow is exactly kappa.
     """
     if rule.variant == "ratio":
         return float(rule.lam)
@@ -256,8 +255,7 @@ def _ratio_of(rule, model: DiffusionModel) -> Optional[float]:
             "drawdown rules are defined through the Bessel price map; "
             f"model kind {model.kind!r} is not supported"
         )
-    d = model.dim
-    return float(rule.kappa) if d == 3.0 else float(rule.kappa) ** (1.0 / (d - 2.0))
+    return float(rule.kappa) ** (1.0 / (model.dim - 2.0))
 
 
 def _steps(t: float, step: float) -> int:
@@ -711,8 +709,6 @@ def estimate_future_min_prob(
     seed: int = 42,
     step: float = 1e-3,
     horizon: float = 50.0,
-    scheme: str = "euler",
-    bridge: bool = True,
 ) -> MonteCarloEstimate:
     """P(the path ever dips below ``level``), completed at a two-sided exit.
 
@@ -727,7 +723,8 @@ def estimate_future_min_prob(
     would run to the horizon) against the share of the mean that the
     scale ratio supplies rather than the simulation: a lower M retires
     more lanes sooner, a higher one grades more of the law by Monte Carlo.
-    The standard error is that of the per-path values.  The non-dipped
+    The pass takes Euler steps with the bridge minimum on.  The standard
+    error is that of the per-path values.  The non-dipped
     paths' share of the mean is extra["analytic_share"], M is
     extra["exit_level"] and the share of paths that retired there
     extra["exit_fraction"]; truncated_fraction counts the paths that
@@ -738,7 +735,7 @@ def estimate_future_min_prob(
     exit_level = float(x0) + float(model.volatility(x0)) * math.sqrt(horizon)
     res = simulate_rules(
         model, x0, [_DipProbe(level=float(level), exit=exit_level)], n_paths,
-        seed=seed, step=step, horizon=horizon, scheme=scheme, bridge=bridge,
+        seed=seed, step=step, horizon=horizon,
     )
     trunc = res.truncated[0]
     rest = ~(res.i_stop[0] < level)  # exited or truncated

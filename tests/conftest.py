@@ -1,5 +1,6 @@
 """Tier-1 footprint: engine passes, path-steps stepped and consumed, solver
-quadratures, boundary shot solves, source lines and public names.
+quadratures, boundary shot solves and their right-hand-side evaluations,
+source lines and public names.
 
 Every Monte Carlo pass runs through ``simulate._sharded`` (``cev`` imports
 the same function), so a session-wide wrapper in both modules counts the
@@ -10,9 +11,9 @@ themselves wrap this wrapper and still see every call.  Every solver
 quadrature runs through ``diffusion._integrate``, which ``boundary`` and
 ``bessel`` import by name, so a wrapper in all three modules counts them.
 A wrapper of ``boundary.solve_ivp`` counts the ODE solves of the boundary
-shots.  The totals, the line count of ``src/goldenstop/*.py`` and
-``len(goldenstop.__all__)`` are printed as one line at the end of the run;
-no test reads them.
+shots and sums the ``nfev`` of their results.  The totals, the line count
+of ``src/goldenstop/*.py`` and ``len(goldenstop.__all__)`` are printed as
+one line at the end of the run; no test reads them.
 """
 
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "goldenstop"
-footprint = {"passes": 0, "path_steps": 0, "consumed": 0, "quadratures": 0, "solves": 0}
+footprint = {"passes": 0, "path_steps": 0, "consumed": 0, "quadratures": 0, "solves": 0, "nfev": 0}
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -43,7 +44,9 @@ def _count_engine_passes():
 
     def counting_solve_ivp(*args, **kwargs):
         footprint["solves"] += 1
-        return solve_ivp(*args, **kwargs)
+        sol = solve_ivp(*args, **kwargs)
+        footprint["nfev"] += sol.nfev
+        return sol
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_sharded", counting)
@@ -63,7 +66,7 @@ def pytest_terminal_summary(terminalreporter):
         f"{footprint['path_steps']:,} path-steps stepped, "
         f"{footprint['consumed']:,} path-steps consumed, "
         f"{footprint['quadratures']:,} solver quadratures, "
-        f"{footprint['solves']:,} shot solves, "
+        f"{footprint['solves']:,} shot solves ({footprint['nfev']:,} rhs evaluations), "
         f"{lines:,} lines in src/goldenstop/*.py, "
         f"{len(goldenstop.__all__)} public names"
     )

@@ -157,6 +157,20 @@ def test_value_log_branch_continuity():
         assert abs(g.bessel_value(4.0 + eps, lam, 1.0, 1.2) - base) < 1e-6
 
 
+@pytest.mark.parametrize("i, x", [(1.0, 1.5), (0.7, 1.1)])
+def test_value_smooth_across_d4(i, x):
+    """V is smooth in d through 4: the second difference over d = 4 -+ eps
+    stays at rounding level (a switch to the d = 4 limit form, or the
+    cancellation of (q^(d-4) - 1)/(d-4), shows up as 1e-10 to 1e-8)."""
+    lam = g.bessel_lambda(4.0)
+
+    def V(d):
+        return g.bessel_value(d, lam, i, x)
+
+    for eps in (2e-8, 3e-8, 1e-6):
+        assert abs(V(4.0 - eps) + V(4.0 + eps) - 2.0 * V(4.0)) <= 1e-13
+
+
 def test_stopped_exponent_identities():
     d3 = g.make_stopped_distribution(3.0, g.bessel_lambda(3.0), 1.0)
     assert abs(d3.p - PHI) < 1e-12

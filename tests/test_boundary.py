@@ -171,6 +171,22 @@ def test_first_divergent_shot_ends_the_family(monkeypatch):
     assert 0.05 < cause.blow_up_at < 0.5
 
 
+def test_shot_reads_its_verdicts_from_one_pass():
+    """A shot evaluates h(i) = L^-1(L(i)/2) a fixed number of times (its
+    grid, start, end and one pass over the accepted steps), not once per
+    step."""
+    m = _m3()
+    calls = []
+
+    def counting_inverse(v):
+        calls.append(1)
+        return m.scale_inverse(v)
+
+    b = g.shoot_from_h(dataclasses.replace(m, scale_inverse=counting_inverse), 0.01, 2.0)
+    assert b.shots[0].nfev > 100
+    assert len(calls) <= 4
+
+
 def test_minimal_boundary_warns_when_not_converged():
     with pytest.warns(UserWarning, match="not converged"):
         b = g.minimal_boundary(_m3(), 0.5, 2.0, n_shots=1)

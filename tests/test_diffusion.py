@@ -30,16 +30,16 @@ def test_bessel_scale_closed_forms():
 
 @pytest.mark.parametrize("d", [2.5, 3.0, 4.0, 4.5, 10.0])
 def test_bessel_scale_float_path_is_the_array_path(d):
-    """A float argument takes its own path; it returns what the 0-d array
-    path returns, bit for bit (the shooting solver's pins rest on it)."""
+    """Each evaluator is elementwise: a float, a 0-d array and the same
+    point inside one 1-d array call give the same bits (the shooting
+    solver's pins rest on it)."""
     m = g.make_bessel_model(d)
     xs = np.geomspace(0.01, 100.0, 4001)
     for f, pts in ((m.scale, xs), (m.scale_deriv, xs), (m.scale_inverse, m.scale(xs))):
         one = [f(float(x)) for x in pts]
         assert all(isinstance(v, np.float64) for v in one)
         assert np.array_equal([f(np.asarray(x)) for x in pts], one)
-    assert np.array_equal(m.scale(xs), [m.scale(float(x)) for x in xs])
-    assert np.array_equal(m.scale_deriv(xs), [m.scale_deriv(float(x)) for x in xs])
+        assert np.array_equal(f(pts), one)
 
 
 def test_bessel_dimension_domain():
