@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionModel, _expm1_over, _integrate
+from .diffusion import DiffusionModel, _check_dim, _expm1_over, _integrate
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -49,13 +49,6 @@ __all__ = [
 ]
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-def _check_dim(d: float) -> float:
-    d = float(d)
-    if not math.isfinite(d) or d <= 2.0:
-        raise DomainError(f"need Bessel dimension d > 2, got {d}")
-    return d
 
 
 # F and dF/dlam for a checked d and lam > 0: the root finders' inner loop

@@ -101,7 +101,7 @@ class Boundary:
 
     Nodes must satisfy f >= h (equality only where a shot starts) and f
     strictly increasing.  Evaluation slightly outside the grid extrapolates
-    the cubic; callers who care should stay inside ``domain``.
+    the cubic; callers who care should stay in [i_grid[0], i_grid[-1]].
     """
 
     i_grid: np.ndarray
@@ -142,10 +142,6 @@ class Boundary:
     @cached_property
     def _inverse_interp(self):
         return PchipInterpolator(self.f_grid, self.i_grid, extrapolate=True)
-
-    @property
-    def domain(self):
-        return float(self.i_grid[0]), float(self.i_grid[-1])
 
     def __call__(self, i):
         """f(i); exact multiple for ray boundaries, cubic otherwise."""

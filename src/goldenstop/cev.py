@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bessel import bessel_lambda
-from .diffusion import make_bessel_model
+from .diffusion import _check_dim, make_bessel_model
 from .errors import DomainError
 from .simulate import (
     StoppingRule,
@@ -76,8 +76,7 @@ class CevModel:
     beta: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.d > 2.0) or not math.isfinite(self.d):
-            raise DomainError(f"need source dimension d > 2, got {self.d}")
+        object.__setattr__(self, "d", _check_dim(self.d))
         if not (self.c_sigma > 0.0) or not math.isfinite(self.c_sigma):
             raise DomainError(f"need c_sigma > 0, got {self.c_sigma}")
         nu = self.d - 2.0

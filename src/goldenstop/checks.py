@@ -251,7 +251,7 @@ def cev_checks(
 
     - drawdown-step-identity: the two rules must make bit-identical
       decisions on every path (the trigger events coincide exactly, not
-      just in law);
+      just in law); the value counts the paths on which they differ;
     - cev-two-route-ks: the drawdown row's stopped prices (the transformed
       route: `cev_transform` of the stopped states of the paths that did
       not reach the horizon, equal by the stream contract to those of a
@@ -270,20 +270,18 @@ def cev_checks(
         [StoppingRule.ratio_rule(lam), StoppingRule.drawdown_rule(lam)],
         n_paths, seed=seed, step=step, horizon=horizon, bridge=False,
     )
-    same = (
-        np.array_equal(res.stop_step[0], res.stop_step[1])
-        and np.array_equal(res.x_stop[0], res.x_stop[1])
-        and np.array_equal(res.objective[0], res.objective[1])
-        and np.array_equal(res.truncated[0], res.truncated[1])
-    )
-    max_dt = float(np.max(np.abs(res.x_stop[0] - res.x_stop[1])))
+    fields = (res.stop_step, res.x_stop, res.objective, res.truncated)
+    n_differ = float(np.count_nonzero(np.any([f[0] != f[1] for f in fields], axis=0)))
     out = [
         CheckResult(
             name="drawdown-step-identity",
-            value=max_dt,
+            value=n_differ,
             tolerance=0.0,
-            passed=same,
-            detail=f"max |x_stop difference| over {n_paths} shared paths (exact zero required)",
+            passed=n_differ == 0,
+            detail=(
+                f"paths whose stop step, stopped state, objective or truncation flag differ, "
+                f"over {n_paths} shared paths (exact zero required)"
+            ),
         )
     ]
 

@@ -137,8 +137,6 @@ class DiffusionModel:
     domain : tuple
         (x_min, x_max) on which the evaluators are trustworthy; Bessel
         models use (0, inf).
-    label : str
-        Short human-readable description, used in CLI output.
     scale_moments : callable or None
         (a, b) -> (M_1(b) - M_1(a), M_2(b) - M_2(a)), M_k(y) = int^y L^k m'.
     """
@@ -152,11 +150,10 @@ class DiffusionModel:
     speed_density: Callable
     dim: Optional[float] = None
     domain: tuple = (0.0, math.inf)
-    label: str = ""
     scale_moments: Optional[Callable] = None
 
     def __repr__(self):  # keep dataclass repr from dumping closures
-        return f"DiffusionModel(kind={self.kind!r}, label={self.label!r}, domain={self.domain!r})"
+        return f"DiffusionModel(kind={self.kind!r}, dim={self.dim!r}, domain={self.domain!r})"
 
 
 def _require_positive(name, value):
@@ -172,6 +169,17 @@ def _check_in_domain(model, name, value):
         raise DomainError(f"{name}={value} outside model domain [{lo}, {hi}]")
 
 
+def _check_dim(d) -> float:
+    """The Bessel dimension d as a float; DomainError unless finite and > 2."""
+    d = float(d)
+    if not math.isfinite(d) or d <= 2.0:
+        raise DomainError(
+            f"Bessel dimension must satisfy d > 2 (transient case); got d={d}. "
+            "For d <= 2 the process is recurrent and the ultimate minimum is 0."
+        )
+    return d
+
+
 def make_bessel_model(d: float) -> DiffusionModel:
     """Bessel process of dimension d > 2: drift (d-1)/(2x), volatility 1.
 
@@ -179,12 +187,7 @@ def make_bessel_model(d: float) -> DiffusionModel:
     almost surely and the prediction problem degenerates), so d <= 2 is
     rejected.
     """
-    d = float(d)
-    if not math.isfinite(d) or d <= 2.0:
-        raise DomainError(
-            f"Bessel dimension must satisfy d > 2 (transient case); got d={d}. "
-            "For d <= 2 the process is recurrent and the ultimate minimum is 0."
-        )
+    d = _check_dim(d)
     nu = d - 2.0
 
     def drift(x):
@@ -222,7 +225,6 @@ def make_bessel_model(d: float) -> DiffusionModel:
         speed_density=speed_density,
         dim=d,
         domain=(0.0, math.inf),
-        label=f"bessel(d={d:g})",
         scale_moments=scale_moments,
     )
 
@@ -234,7 +236,6 @@ def model_from_scale(
     scale_deriv: Callable,
     scale_inverse: Optional[Callable] = None,
     domain: tuple = (0.0, math.inf),
-    label: str = "custom-scale",
 ) -> DiffusionModel:
     """Custom model from explicit scale evaluators.
 
@@ -255,7 +256,6 @@ def model_from_scale(
         speed_density=speed_density,
         dim=None,
         domain=domain,
-        label=label,
     )
     validate_model(model)
     return model
@@ -313,7 +313,6 @@ def model_from_coefficients(
     x_ref: float = 1.0,
     x_min: Optional[float] = None,
     x_max: Optional[float] = None,
-    label: str = "custom",
 ) -> DiffusionModel:
     """Build a model from coefficient functions by two cumulative quadratures.
 
@@ -390,16 +389,16 @@ def model_from_coefficients(
         return invert_one(float(v))
 
     return model_from_scale(drift, volatility, scale, scale_deriv, scale_inverse,
-                            domain=(x_min, x_max), label=label)
+                            domain=(x_min, x_max))
 
 
-def model_from_csv(path, x_ref: Optional[float] = None, label: Optional[str] = None) -> DiffusionModel:
+def model_from_csv(path) -> DiffusionModel:
     """Model from a coefficient table.
 
     The file must have a header row "x,mu,sigma" and strictly ascending x.
     Coefficients are interpolated monotone-cubically inside the table range
     and the scale is built by model_from_coefficients over exactly that
-    range (no extrapolation).
+    range (no extrapolation), anchored at the middle row's x.
     """
     xs, mus, sigmas = _read_columns(path, "coefficient file", ("x", "mu", "sigma"))
     if len(xs) < 4:
@@ -412,15 +411,12 @@ def model_from_csv(path, x_ref: Optional[float] = None, label: Optional[str] = N
 
     mu_i = PchipInterpolator(xs, mus)
     sg_i = PchipInterpolator(xs, sigmas)
-    if x_ref is None:
-        x_ref = float(xs[len(xs) // 2])
     return model_from_coefficients(
         drift=lambda x: mu_i(x),
         volatility=lambda x: sg_i(x),
-        x_ref=x_ref,
+        x_ref=float(xs[len(xs) // 2]),
         x_min=float(xs[0]),
         x_max=float(xs[-1]),
-        label=label or f"csv({path})",
     )
 
 

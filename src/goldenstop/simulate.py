@@ -46,9 +46,9 @@ into the ratio kappa^(1/(d-2))), or at a fixed time.  `_trigger` turns a
 rule into its vectorised test and `_ratio_of` is the one drawdown-to-ratio
 map.  The objective accumulated along a path is int_0^tau c(I_t, X_t) dt by
 the trapezoid rule on the step grid; a rule that triggers at t = 0 reports
-objective 0.  Every objective estimate, `estimate_objective` included, is
-made by `compare_rules`, which warns once for each rule whose paths hit
-the horizon more than 1% of the time.
+objective 0.  Every objective estimate is made by `compare_rules`, which
+warns once for each rule whose paths hit the horizon more than 1% of the
+time.
 """
 
 from __future__ import annotations
@@ -79,15 +79,14 @@ __all__ = [
     "make_path_stream",
     "simulate_path",
     "simulate_rules",
-    "estimate_objective",
     "compare_rules",
     "estimate_future_min_prob",
 ]
 
 # smallest admissible state for a raw Euler step; below it the scheme failed
 EULER_FLOOR = 1e-12
-# uniforms are clipped here before the inverse normal CDF (random() is a
-# multiple of 2^-53, so only exact zeros are affected)
+# uniforms are clipped here before the inverse normal and gamma CDFs
+# (random() is a multiple of 2^-53, so only exact zeros are affected)
 _U_FLOOR = 2.0**-53
 
 
@@ -454,6 +453,11 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
         # union of the drift-dominance region mu*step > x/32 (radius
         # 4 sqrt((d-1) step)) and the region a diffusive step could cross zero
         x_guard = max(4.0 * math.sqrt((d - 1.0) * step), 8.5 * math.sqrt(step))
+
+        def bessel_step(a, sz, gu):
+            """Exact squared-Bessel step from a: normal part sz, gamma uniforms gu."""
+            gdraw = 2.0 * gammaincinv(gshape, np.maximum(gu, _U_FLOOR))
+            return np.sqrt((a + sz) ** 2 + step * gdraw)
     sqdt = math.sqrt(step)
     init = dict(X=x0, I=x0, obj=0.0, cprev=-1.0, theta=0, pending=~at0)
 
@@ -472,10 +476,9 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
             X[0] = st["X"]
             SZ, VOL = (sqdt * ln.z, None) if is_bessel else (None, np.empty((B, m)))
             if scheme == "exact":
-                G = np.array([ps.gamma.random(B) for ps in ln.streams])
-                SG = np.ascontiguousarray((step * (2.0 * gammaincinv(gshape, G))).T)
+                G = np.array([ps.gamma.random(B) for ps in ln.streams]).T
                 for k in range(B):
-                    np.sqrt((X[k] + SZ[k]) ** 2 + SG[k], out=X[k + 1])
+                    X[k + 1] = bessel_step(X[k], SZ[k], G[k])
             elif is_bessel:
                 for k in range(B):
                     a = X[k]
@@ -484,8 +487,7 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
                     if guarded.any():
                         rows = np.nonzero(guarded)[0]
                         gu = np.array([ln.streams[r].gamma.random() for r in rows])
-                        gdraw = 2.0 * gammaincinv(gshape, np.maximum(gu, _U_FLOOR))
-                        Xn[rows] = np.sqrt((a[rows] + SZ[k, rows]) ** 2 + step * gdraw)
+                        Xn[rows] = bessel_step(a[rows], SZ[k, rows], gu)
                     np.maximum(Xn, EULER_FLOOR, out=X[k + 1])
             else:
                 for k in range(B):
@@ -624,34 +626,12 @@ def _mean_se(values):
     return float(np.mean(values)), se
 
 
-def estimate_objective(
-    model: DiffusionModel,
-    x0: float,
-    rule,
-    n_paths: int = 50_000,
-    seed: int = 42,
-    step: float = 1e-4,
-    horizon: float = 50.0,
-    scheme: str = "euler",
-    bridge: bool = True,
-) -> MonteCarloEstimate:
-    """Mean and standard error of the stopped objective under one rule.
-
-    The single-rule case of `compare_rules`, with its truncation warning.
-    """
-    return compare_rules(
-        model, x0, [rule], n_paths, seed=seed, step=step, horizon=horizon,
-        scheme=scheme, bridge=bridge,
-    ).estimates[0]
-
-
 @dataclass(frozen=True, eq=False)
 class RuleComparison:
     """Common-random-number comparison of several rules on one pass."""
 
     estimates: list
     objectives: np.ndarray  # (n_rules, n_paths)
-    rule_ids: list
 
     def paired_difference(self, j: int, k: int):
         """Mean and standard error of objective_j - objective_k (paired)."""
@@ -698,7 +678,7 @@ def compare_rules(
             mean=mean, std_error=se, n_paths=n_paths, seed=seed, step=step,
             rule_id=rule_id, horizon=horizon, truncated_fraction=trunc,
         ))
-    return RuleComparison(estimates=ests, objectives=res.objective, rule_ids=res.rule_ids)
+    return RuleComparison(estimates=ests, objectives=res.objective)
 
 
 def estimate_future_min_prob(

@@ -1,6 +1,6 @@
 """Tier-1 footprint: engine passes, path-steps stepped and consumed, solver
 quadratures, boundary shot solves and their right-hand-side evaluations,
-source lines and public names.
+source lines, public names and defaulted public parameters.
 
 Every Monte Carlo pass runs through ``simulate._sharded`` (``cev`` imports
 the same function), so a session-wide wrapper in both modules counts the
@@ -12,10 +12,13 @@ quadrature runs through ``diffusion._integrate``, which ``boundary`` and
 ``bessel`` import by name, so a wrapper in all three modules counts them.
 A wrapper of ``boundary.solve_ivp`` counts the ODE solves of the boundary
 shots and sums the ``nfev`` of their results.  The totals, the line count
-of ``src/goldenstop/*.py`` and ``len(goldenstop.__all__)`` are printed as
-one line at the end of the run; no test reads them.
+of ``src/goldenstop/*.py``, ``len(goldenstop.__all__)`` and the number of
+defaulted parameters of the functions in ``goldenstop.__all__`` (classes
+not counted) are printed as one line at the end of the run; no test reads
+them.
 """
 
+import inspect
 from pathlib import Path
 
 import pytest
@@ -61,6 +64,9 @@ def pytest_terminal_summary(terminalreporter):
     import goldenstop
 
     lines = sum(p.read_bytes().count(b"\n") for p in SRC.glob("*.py"))
+    public = [getattr(goldenstop, name) for name in goldenstop.__all__]
+    knobs = sum(p.default is not p.empty for f in public if inspect.isfunction(f)
+                for p in inspect.signature(f).parameters.values())
     terminalreporter.write_line(
         f"goldenstop footprint: {footprint['passes']} engine passes, "
         f"{footprint['path_steps']:,} path-steps stepped, "
@@ -68,5 +74,6 @@ def pytest_terminal_summary(terminalreporter):
         f"{footprint['quadratures']:,} solver quadratures, "
         f"{footprint['solves']:,} shot solves ({footprint['nfev']:,} rhs evaluations), "
         f"{lines:,} lines in src/goldenstop/*.py, "
-        f"{len(goldenstop.__all__)} public names"
+        f"{len(goldenstop.__all__)} public names, "
+        f"{knobs} defaulted public parameters"
     )

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import goldenstop as g
@@ -154,6 +154,8 @@ def test_coefficient_minimal_boundary_converges_at_d8():
 
 def test_first_divergent_shot_ends_the_family(monkeypatch):
     calls = []
+    # wrap the installed solver, so a session-wide wrapper still sees the solve
+    solve_ivp = gb.solve_ivp
 
     def counting_solve_ivp(*args, **kwargs):
         calls.append(1)

@@ -111,8 +111,8 @@ def test_cev_objective_equals_source_estimate():
     prints its mean and se bit for bit.  The horizon truncates ~10% of the
     paths, which both the estimator and the command report."""
     with pytest.warns(UserWarning, match="horizon-biased"):
-        ref = g.estimate_objective(g.make_bessel_model(3.0), 4.0, g.StoppingRule.ratio_rule(3.0),
-                                   n_paths=300, seed=17, step=1e-3, horizon=30.0)
+        ref = g.compare_rules(g.make_bessel_model(3.0), 4.0, [g.StoppingRule.ratio_rule(3.0)],
+                              n_paths=300, seed=17, step=1e-3, horizon=30.0).estimates[0]
     assert ref.truncated_fraction > 0.0
     with pytest.warns(UserWarning, match="horizon-biased"):
         res = CliRunner().invoke(main, [

@@ -68,6 +68,20 @@ def test_cev_route_ks_equals_the_transformed_sampler(seed):
     assert ident.passed and ident.value == 0.0 and "over 300 shared paths" in ident.detail
 
 
+def test_step_identity_counts_paths_that_differ(monkeypatch):
+    # an engine fault that moved only one path's objective in the drawdown
+    # row reads one differing path, not a zero max |x_stop difference|
+    def nudged(*args, **kwargs):
+        res = simulate.simulate_rules(*args, **kwargs)
+        res.objective[1, 7] += 1e-9
+        return res
+
+    monkeypatch.setattr(checks, "simulate_rules", nudged)
+    ident = checks.cev_checks(n_paths=64, seed=3, step=1e-2)[0]
+    assert ident.name == "drawdown-step-identity"
+    assert ident.value == 1 and not ident.passed
+
+
 def _stopped_mean_row(x_stop, step):
     res = BatchResult(1, x_stop.size)
     res.x_stop[0] = x_stop

@@ -297,10 +297,10 @@ def test_simulate_csv_contract_and_library_agreement():
     assert rows[1][3] == "50" and rows[1][4] == "42" and rows[1][5] == "0.01"
     # %.17g round-trips doubles, so the printed mean must equal the
     # library estimate bit for bit
-    est = g.estimate_objective(
-        g.make_bessel_model(3.0), 1.0, g.StoppingRule.ratio_rule(LAM3),
+    est = g.compare_rules(
+        g.make_bessel_model(3.0), 1.0, [g.StoppingRule.ratio_rule(LAM3)],
         n_paths=50, seed=42, step=0.01, horizon=50.0,
-    )
+    ).estimates[0]
     assert float(rows[1][1]) == est.mean
     assert float(rows[1][2]) == est.std_error
 
@@ -410,7 +410,7 @@ def test_simulate_sampling_defaults(monkeypatch):
 
     def fake_compare(model, x0, rules, **kwargs):
         seen["compare"] = kwargs
-        return g.RuleComparison(estimates=[], objectives=None, rule_ids=[])
+        return g.RuleComparison(estimates=[], objectives=None)
 
     def fake_checks(**kwargs):
         seen["checks"] = kwargs
@@ -432,7 +432,7 @@ def test_checks_implies_check(monkeypatch):
 
     def fake_compare(model, x0, rules, **kwargs):
         seen["compare"] = kwargs
-        return g.RuleComparison(estimates=[], objectives=None, rule_ids=[])
+        return g.RuleComparison(estimates=[], objectives=None)
 
     def fake_checks(**kwargs):
         seen["checks"] = kwargs

@@ -46,6 +46,17 @@ def test_bessel_dimension_domain():
     for bad in (2.0, 1.0, 0.0, -3.0, math.nan):
         with pytest.raises(g.DomainError):
             g.make_bessel_model(bad)
+    # every entry point that takes a dimension rejects it with one message
+    for bad in (2.0, 1.0, math.nan, math.inf):
+        calls = (lambda: g.make_bessel_model(bad), lambda: g.bessel_lambda(bad),
+                 lambda: g.bessel_value(bad, 2.0, 1.0, 1.0),
+                 lambda: g.make_stopped_distribution(bad, 2.0, 1.0), lambda: g.CevModel(bad))
+        messages = set()
+        for call in calls:
+            with pytest.raises(g.DomainError) as info:
+                call()
+            messages.add(str(info.value))
+        assert len(messages) == 1 and "recurrent" in messages.pop()
 
 
 def test_scale_inverse_roundtrip():
@@ -133,7 +144,6 @@ def test_scale_multiple_invariance():
         scale=lambda x: 5.0 * np.asarray(m.scale(x)),
         scale_deriv=lambda x: 5.0 * np.asarray(m.scale_deriv(x)),
         scale_inverse=lambda v: m.scale_inverse(np.asarray(v) / 5.0),
-        label="rescaled",
     )
     iis = np.array([0.4, 1.0, 1.7])
     xs = iis * 1.9

@@ -66,7 +66,8 @@ def replay_ratio_path(d, x0, lam, seed, index, step, horizon, scheme, bridge):
         bu = float(np.maximum(np.float64(u2), _U_FLOOR))
         a = X
         if scheme == "exact":
-            gam = 2.0 * float(gammaincinv(np.float64(gshape), np.float64(gen_g.random())))
+            gu = np.maximum(np.float64(gen_g.random()), _U_FLOOR)
+            gam = 2.0 * float(gammaincinv(np.float64(gshape), gu))
             n_gamma += 1
             t = a + sqdt * z
             xn = float(np.sqrt(np.float64(t * t + step * gam)))
@@ -374,8 +375,8 @@ def test_trigger_and_minimum_invariants():
 def test_truncation_warning():
     model = g.make_bessel_model(3.0)
     with pytest.warns(UserWarning, match="horizon-biased"):
-        est = g.estimate_objective(model, 1.0, g.StoppingRule.ratio_rule(4.0),
-                                   n_paths=64, seed=37, step=1e-3, horizon=0.05)
+        est = g.compare_rules(model, 1.0, [g.StoppingRule.ratio_rule(4.0)],
+                              n_paths=64, seed=37, step=1e-3, horizon=0.05).estimates[0]
     assert est.truncated_fraction > 0.9
     assert math.isfinite(est.mean)
 
@@ -386,10 +387,9 @@ def test_truncation_warning_names_the_caller():
     kw = dict(n_paths=64, seed=37, step=1e-3, horizon=0.05)
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
-        g.estimate_objective(model, 1.0, rule, **kw)
         g.compare_rules(model, 1.0, [rule], **kw)
-    assert len(w) == 2 and "horizon-biased" in str(w[0].message)
-    assert w[0].filename == __file__ and w[1].filename == __file__
+    assert len(w) == 1 and "horizon-biased" in str(w[0].message)
+    assert w[0].filename == __file__
 
 
 def test_compare_rules_warns_once_per_truncated_rule():
@@ -404,7 +404,7 @@ def test_compare_rules_warns_once_per_truncated_rule():
     assert [e.truncated_fraction > 0.01 for e in cmp_.estimates] == [True, False, True]
     assert len(msgs) == 2
     for msg, j in zip(msgs, (0, 2)):
-        assert "horizon-biased" in msg and cmp_.rule_ids[j] in msg
+        assert "horizon-biased" in msg and cmp_.estimates[j].rule_id in msg
 
 def _plunging_model():
     # properly normalised scale but a drift that slams paths through zero
@@ -414,7 +414,6 @@ def _plunging_model():
         scale=lambda x: -1.0 / np.asarray(x, dtype=float),
         scale_deriv=lambda x: 1.0 / np.asarray(x, dtype=float) ** 2,
         scale_inverse=lambda v: -1.0 / np.asarray(v, dtype=float),
-        label="plunge",
     )
 
 
@@ -517,7 +516,7 @@ def test_estimator_moments_match_batch():
     model = g.make_bessel_model(3.0)
     rule = g.StoppingRule.ratio_rule(LAM3)
     kw = dict(n_paths=50, seed=41, step=1e-3, horizon=30.0)
-    est = g.estimate_objective(model, 1.0, rule, **kw)
+    est = g.compare_rules(model, 1.0, [rule], **kw).estimates[0]
     res = simulate_rules(model, 1.0, [rule], 50, seed=41, step=1e-3, horizon=30.0)
     objs = res.objective[0]
     assert est.mean == float(np.sum(objs)) / 50
@@ -531,9 +530,7 @@ def test_estimates_deterministic_and_seed_sensitive():
     model = g.make_bessel_model(3.0)
     rule = g.StoppingRule.ratio_rule(LAM3)
     kw = dict(n_paths=200, step=1e-3, horizon=30.0)
-    a = g.estimate_objective(model, 1.0, rule, seed=42, **kw)
-    b = g.estimate_objective(model, 1.0, rule, seed=42, **kw)
-    c = g.estimate_objective(model, 1.0, rule, seed=43, **kw)
+    a, b, c = (g.compare_rules(model, 1.0, [rule], seed=s, **kw).estimates[0] for s in (42, 42, 43))
     assert a.mean == b.mean and a.std_error == b.std_error
     assert a.mean != c.mean
 
@@ -547,7 +544,7 @@ def test_compare_rules_pairing():
                         rel_tol=0.0, abs_tol=1e-15)
     assert dse > 0.0
     rows = cmp_.rows()
-    assert [r["rule_id"] for r in rows] == cmp_.rule_ids
+    assert [r["rule_id"] for r in rows] == [e.rule_id for e in cmp_.estimates]
 
 
 def test_stopped_law_reduced_scale():
@@ -582,8 +579,8 @@ def test_threshold_local_optimality_paired():
 def test_step_halving_consistency():
     model = g.make_bessel_model(3.0)
     rule = g.StoppingRule.ratio_rule(LAM3)
-    e1 = g.estimate_objective(model, 1.0, rule, n_paths=4000, seed=42, step=2e-3)
-    e2 = g.estimate_objective(model, 1.0, rule, n_paths=4000, seed=42, step=1e-3)
+    e1, e2 = (g.compare_rules(model, 1.0, [rule], n_paths=4000, seed=42, step=s).estimates[0]
+              for s in (2e-3, 1e-3))
     assert abs(e1.mean - e2.mean) <= 3.0 * math.hypot(e1.std_error, e2.std_error)
 
 
