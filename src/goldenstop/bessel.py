@@ -258,15 +258,15 @@ def stopped_cdf_general(model: DiffusionModel, boundary, x0: float, y) -> float:
     Reduces to the power law of `stopped_cdf` for ray boundaries.  The
     boundary must be invertible on its grid (it is strictly increasing).
     """
-    if not (x0 > 0.0):
-        raise DomainError(f"need x0 > 0, got {x0}")
+    if not (x0 > 0.0) or not math.isfinite(x0):
+        raise DomainError(f"need finite x0 > 0, got {x0}")
     y = float(y)
+    if not math.isfinite(y):
+        raise DomainError("cdf argument must be finite")
     f_x0 = float(boundary(x0))
     if y >= f_x0:
         return 1.0
-    lo_i = float(boundary.i_grid[0])
-    f_lo = float(boundary(lo_i))
-    if y <= f_lo:
+    if y <= boundary.f_grid[0]:  # f(i_grid[0]), for rays and cubics alike
         return 0.0
     z_y = float(boundary.inverse(y))
 

@@ -45,6 +45,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from .diffusion import DiffusionModel, _integrate, _read_columns, c_value, h_curve
 from .errors import (
@@ -54,6 +55,7 @@ from .errors import (
     NoMinimalSolutionError,
     NumericalError,
     SingularPointError,
+    _caller_stacklevel,
 )
 
 __all__ = [
@@ -91,6 +93,9 @@ class ShotRecord(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class Boundary:
     """Increasing stopping boundary f on a grid, monotone-cubic between nodes.
+
+    The cubic is the one statement of the curve: ``inverse`` solves it for
+    i, so b(b.inverse(y)) returns y to rounding.
 
     ``provenance`` records how the boundary was built:
     "closed-form-ratio(...)" for exact rays (then ``ratio`` is set and
@@ -139,10 +144,6 @@ class Boundary:
     def _interp(self):
         return PchipInterpolator(self.i_grid, self.f_grid, extrapolate=True)
 
-    @cached_property
-    def _inverse_interp(self):
-        return PchipInterpolator(self.f_grid, self.i_grid, extrapolate=True)
-
     def __call__(self, i):
         """f(i); exact multiple for ray boundaries, cubic otherwise."""
         if self.ratio is not None:
@@ -151,7 +152,8 @@ class Boundary:
         return float(out) if np.ndim(out) == 0 else out
 
     def inverse(self, y):
-        """f^{-1}(y) for y in the value range of the grid."""
+        """f^{-1}(y) for y in the value range of the grid: exact for rays,
+        otherwise the root of the cubic that __call__ evaluates."""
         if self.ratio is not None:
             return np.asarray(y, dtype=float) / self.ratio if np.ndim(y) else float(y) / self.ratio
         y_arr = np.asarray(y, dtype=float)
@@ -160,8 +162,15 @@ class Boundary:
             raise DomainError(
                 f"inverse argument {y} outside boundary value range [{lo:g}, {hi:g}]"
             )
-        out = self._inverse_interp(y_arr)
-        return float(out) if np.ndim(out) == 0 else out
+        i_lo, i_hi = self.i_grid[0], self.i_grid[-1]
+
+        def root(v):  # the cubic is lo exactly at i_lo, but may round below hi at i_hi
+            if self._interp(i_hi) <= v:
+                return i_hi
+            return brentq(lambda i: self._interp(i) - v, i_lo, i_hi, xtol=np.finfo(float).tiny)
+
+        out = np.vectorize(root, otypes=[float])(np.clip(y_arr, lo, hi))
+        return float(out) if out.ndim == 0 else out
 
 
 def line_boundary(
@@ -371,7 +380,7 @@ def minimal_boundary(
         warnings.warn(
             f"shot limit not converged to {SHOT_REL_TOL:g} after {n_used} shots; "
             "returning the deepest shot",
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     return Boundary(
         i_grid=grid,

@@ -34,9 +34,10 @@ import numpy as np
 
 from .bessel import bessel_lambda
 from .diffusion import _check_dim, make_bessel_model
-from .errors import DomainError
+from .errors import DomainError, _caller_stacklevel
 from .simulate import (
     StoppingRule,
+    _check_count,
     _check_seed,
     _first_true,
     _horizon_steps,
@@ -135,9 +136,7 @@ def fibonacci_levels(n: int) -> FibonacciLevels:
     Binet's form F_n = (phi^n - psi^n)/sqrt(5) with psi = (1 - sqrt5)/2,
     the ratios alternate around and converge to phi^-3, phi^-2, phi^-1.
     """
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    n = _check_count("n", n, 2)
     a, b = 0, 1  # F_0, F_1
     fibs = [a, b]
     for _ in range(n + 2):
@@ -177,8 +176,7 @@ def direct_stopped_samples(
         raise DomainError(f"need z0 > 0, got {z0}")
     if not (kappa > 1.0) or not math.isfinite(kappa):
         raise DomainError(f"need finite kappa > 1, got {kappa}")
-    if n_paths < 1:
-        raise DomainError(f"need n_paths >= 1, got {n_paths}")
+    n_paths = _check_count("n_paths", n_paths, 1)
     seed = _check_seed(seed)
     n_max = _horizon_steps(horizon, step)
     sqdt = math.sqrt(step)
@@ -214,13 +212,14 @@ def direct_stopped_samples(
         warnings.warn(
             f"{n_trunc} of {n_paths} direct CEV paths hit the horizon before "
             "the drawdown trigger",
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     blown = np.nonzero(out.blowup)[0]
     if blown.size:
         k = blown[np.argmin(out.blowup[blown])]
         warnings.warn(f"excluding {blown.size} direct CEV paths whose Euler price overflowed "
-                      f"(first: path {k} at t={out.blowup[k] * step:g}); reduce step", stacklevel=2)
+                      f"(first: path {k} at t={out.blowup[k] * step:g}); reduce step",
+                      stacklevel=_caller_stacklevel())
     return np.sort(out.z[~out.trunc & (out.blowup == 0)]), n_trunc
 
 

@@ -4,9 +4,10 @@ Each runner performs the Monte Carlo passes of one experiment (one pass
 wherever the stream contract makes two passes identical: the golden-rule
 group grades its star rows from the sweep's 1+phi row, the cev group its
 drawdown identity and transformed route from one pass) and grades them
-against the closed-form theory, returning CheckResult rows.  The
-same functions back `goldenstop simulate --check`, so a shipped binary
-can re-certify itself on the target machine.
+against the closed-form theory, returning CheckResult rows.
+`golden_rule_star_checks` grades the star rows alone from a one-rule
+pass.  The group runners back `goldenstop simulate --check`, so a shipped
+binary can re-certify itself on the target machine.
 
 Grading conventions: `value` is the measured discrepancy or statistic,
 `tolerance` the bound it must stay below, except for the sweep-optimality
@@ -39,7 +40,6 @@ __all__ = [
     "CheckResult",
     "golden_rule_checks",
     "golden_rule_star_checks",
-    "golden_rule_sweep_checks",
     "future_min_checks",
     "cev_checks",
     "CHECK_GROUPS",
@@ -157,22 +157,6 @@ def golden_rule_star_checks(
     return _grade_star(res, 0, step)
 
 
-def golden_rule_sweep_checks(
-    n_paths: int = 50_000,
-    seed: int = 42,
-    step: float = 1e-4,
-    horizon: float = 50.0,
-) -> list:
-    """Paired optimality of the golden threshold within a ratio sweep.
-
-    One common-random-numbers pass over {1.8, 2.1, 1+phi, 3.3, 4.0};
-    every off-optimal ratio must lose to the golden one by at least 2
-    paired standard errors (value = worst z-score, must exceed the
-    tolerance).
-    """
-    return _grade_sweep(_golden_pass(_SWEEP, n_paths, seed, step, horizon), _STAR)
-
-
 def golden_rule_checks(
     n_paths: int = 50_000,
     seed: int = 42,
@@ -181,9 +165,13 @@ def golden_rule_checks(
 ) -> list:
     """Star-rule rows plus the sweep row from one sweep pass.
 
-    By the stream contract the sweep's 1+phi row is bit-identical to the
-    star pass, so its rows equal those of `golden_rule_star_checks`
-    followed by `golden_rule_sweep_checks` on the same arguments.
+    The pass is one common-random-numbers run over {1.8, 2.1, 1+phi, 3.3,
+    4.0}.  Its 1+phi row grades the rows of `golden_rule_star_checks`: by
+    the stream contract it is bit-identical to that function's one-rule
+    pass, so the first three rows equal its rows on the same arguments.
+    The last row, sweep-optimality, requires every off-optimal ratio to
+    lose to the golden one by at least 2 paired standard errors (value =
+    worst z-score, must exceed the tolerance).
     """
     res = _golden_pass(_SWEEP, n_paths, seed, step, horizon)
     return _grade_star(res, _STAR, step) + _grade_sweep(res, _STAR)
@@ -335,7 +323,7 @@ def run_checks(
             ) from None
         kwargs = {"seed": seed}
         if n_paths is not None:
-            kwargs["n_paths"] = int(n_paths)
+            kwargs["n_paths"] = n_paths
         if step is not None:
             kwargs["step"] = float(step)
         results.extend(fn(**kwargs))

@@ -119,8 +119,8 @@ class DiffusionModel:
 
     Attributes
     ----------
-    kind : str
-        "bessel" for the closed-form family, "custom" otherwise.
+    kind : str (read-only)
+        "bessel" when ``dim`` is set, "custom" otherwise; derived, not stored.
     drift, volatility : callable
         mu(x) and sigma(x); accept floats or numpy arrays.
     scale : callable
@@ -133,7 +133,7 @@ class DiffusionModel:
     speed_density : callable
         m'(x) = 2 / (sigma^2(x) L'(x)).
     dim : float or None
-        Bessel dimension when kind == "bessel".
+        Bessel dimension of the closed-form family; None for custom models.
     domain : tuple
         (x_min, x_max) on which the evaluators are trustworthy; Bessel
         models use (0, inf).
@@ -141,7 +141,6 @@ class DiffusionModel:
         (a, b) -> (M_1(b) - M_1(a), M_2(b) - M_2(a)), M_k(y) = int^y L^k m'.
     """
 
-    kind: str
     drift: Callable
     volatility: Callable
     scale: Callable
@@ -151,6 +150,10 @@ class DiffusionModel:
     dim: Optional[float] = None
     domain: tuple = (0.0, math.inf)
     scale_moments: Optional[Callable] = None
+
+    @property
+    def kind(self) -> str:
+        return "custom" if self.dim is None else "bessel"
 
     def __repr__(self):  # keep dataclass repr from dumping closures
         return f"DiffusionModel(kind={self.kind!r}, dim={self.dim!r}, domain={self.domain!r})"
@@ -216,7 +219,6 @@ def make_bessel_model(d: float) -> DiffusionModel:
         return -(b * b - a * a) / nu, 2.0 / nu * a ** (4.0 - d) * _expm1_over(4.0 - d, t)
 
     return DiffusionModel(
-        kind="bessel",
         drift=drift,
         volatility=volatility,
         scale=scale,
@@ -224,7 +226,6 @@ def make_bessel_model(d: float) -> DiffusionModel:
         scale_inverse=scale_inverse,
         speed_density=speed_density,
         dim=d,
-        domain=(0.0, math.inf),
         scale_moments=scale_moments,
     )
 
@@ -247,14 +248,12 @@ def model_from_scale(
         return 2.0 / (volatility(x) ** 2 * scale_deriv(x))
 
     model = DiffusionModel(
-        kind="custom",
         drift=drift,
         volatility=volatility,
         scale=scale,
         scale_deriv=scale_deriv,
         scale_inverse=scale_inverse,
         speed_density=speed_density,
-        dim=None,
         domain=domain,
     )
     validate_model(model)
@@ -266,9 +265,9 @@ def validate_model(model: DiffusionModel) -> list:
 
     Returns the list of warning messages (empty when everything looks
     consistent with a transient model normalised to L(inf) = 0).  The
-    warnings name the line that called into this module.
+    warnings name the line that called into the package.
     """
-    level = _caller_stacklevel(__name__)
+    level = _caller_stacklevel()
     msgs = []
     lo, hi = model.domain
     lo_p = max(lo, 1e-12) if lo <= 0 else lo

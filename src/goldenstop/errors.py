@@ -75,10 +75,10 @@ class SchemeError(NumericalError):
     coordinate outside the guarded region)."""
 
 
-def _caller_stacklevel(module: str) -> int:
-    """`warnings.warn` stacklevel, called from the warning function's own
-    frame, that names the first caller outside the module named `module`."""
+def _caller_stacklevel() -> int:
+    """`warnings.warn` stacklevel, called from the warning function's own frame,
+    that names the first caller outside the package (also under ``python -m``)."""
     frame, level = sys._getframe(2), 2
-    while frame.f_back is not None and frame.f_globals.get("__name__") == module:
+    while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
         frame, level = frame.f_back, level + 1
     return level

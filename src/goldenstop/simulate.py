@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import threading
 import warnings
@@ -88,6 +89,13 @@ EULER_FLOOR = 1e-12
 # uniforms are clipped here before the inverse normal and gamma CDFs
 # (random() is a multiple of 2^-53, so only exact zeros are affected)
 _U_FLOOR = 2.0**-53
+
+
+def _check_count(name, value, least) -> int:
+    """``value`` (a Python or numpy integer) as an int; DomainError unless >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"need an integer {name} >= {least}, got {value!r}")
+    return int(value)
 
 
 def _check_seed(seed) -> int:
@@ -164,9 +172,8 @@ class StoppingRule:
 
 @dataclass(frozen=True)
 class PathOutcome:
-    """Result of one simulated path under one rule."""
+    """Result of one simulated path under one rule (stopped at n_steps * step)."""
 
-    stop_time: float
     x_stop: float
     i_stop: float
     objective_integral: float
@@ -585,9 +592,7 @@ def simulate_rules(
     in one pass is exactly equivalent to separate runs with the same seed.
     """
     run = _engine(model, x0, rules, seed, step, horizon, scheme, bridge)
-    if n_paths < 1:
-        raise DomainError(f"need n_paths >= 1, got {n_paths}")
-    return _sharded(run, n_paths)
+    return _sharded(run, _check_count("n_paths", n_paths, 1))
 
 
 def simulate_path(
@@ -609,7 +614,6 @@ def simulate_path(
     run = _engine(model, x0, [rule], stream.seed, step, horizon, scheme, bridge)
     res = run(stream.index, stream.index + 1)
     return PathOutcome(
-        stop_time=float(res.stop_step[0, 0]) * step,
         x_stop=float(res.x_stop[0, 0]),
         i_stop=float(res.i_stop[0, 0]),
         objective_integral=float(res.objective[0, 0]),
@@ -658,7 +662,7 @@ def compare_rules(
     Truncated paths (horizon hit first) contribute their accumulated
     objective; each rule whose truncated fraction exceeds 1% draws its own
     warning, since its estimate is then noticeably horizon-biased.  The
-    warning names the line that called into this module.
+    warning names the line that called into the package.
     """
     res = simulate_rules(
         model, x0, rules, n_paths, seed=seed, step=step, horizon=horizon,
@@ -672,7 +676,7 @@ def compare_rules(
             warnings.warn(
                 f"{trunc:.1%} of paths hit the horizon before the rule {rule_id} "
                 "fired; the estimate is horizon-biased",
-                stacklevel=_caller_stacklevel(__name__),
+                stacklevel=_caller_stacklevel(),
             )
         ests.append(MonteCarloEstimate(
             mean=mean, std_error=se, n_paths=n_paths, seed=seed, step=step,

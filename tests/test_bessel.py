@@ -219,3 +219,11 @@ def test_stopped_cdf_general_matches_power_law():
         assert abs(got - ref) < 1e-6, (y, got, ref)
     # saturates at the boundary started from x0
     assert g.stopped_cdf_general(m, b, 1.0, lam * 1.0) == 1.0
+
+
+def test_stopped_cdf_general_rejects_nonfinite_inputs():
+    m = g.make_bessel_model(3.0)
+    b = g.line_boundary(m, g.bessel_lambda(3.0), 0.05, 4.0)
+    for x0, y in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(g.DomainError):
+            g.stopped_cdf_general(m, b, x0, y)

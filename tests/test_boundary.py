@@ -213,6 +213,23 @@ def test_line_boundary_exact_ray():
         g.line_boundary(m, 0.99, 0.5, 2.0)
 
 
+@pytest.mark.parametrize("n_grid", [16, 129])
+def test_inverse_inverts_the_evaluated_curve(n_grid):
+    # one interpolant: the inverse of a curved boundary is the root of the
+    # cubic that evaluation uses (a second, inverse interpolant was off by
+    # 1.3e-2 at 16 nodes and 8.0e-3 at 129), at the nodes and between them
+    b = g.shoot_from_h(_m3(), 0.5, 2.0, n_grid=n_grid)
+    ys = np.concatenate([b.f_grid, np.linspace(b.f_grid[0], b.f_grid[-1], 257)])
+    back = np.array([b(b.inverse(y)) for y in ys])
+    assert np.max(np.abs(back - ys) / ys) <= 1e-14
+    assert np.array_equal(b(b.inverse(ys)), back)
+    # the range check admits 1e-12 of slack; it maps to the grid ends
+    assert b.inverse(b.f_grid[-1] * (1 + 1e-13)) == b.i_grid[-1]
+    assert b.inverse(b.f_grid[0] * (1 - 1e-13)) == b.i_grid[0]
+    with pytest.raises(g.DomainError, match="outside boundary value range"):
+        b.inverse(b.f_grid[-1] * 1.01)
+
+
 def test_value_quadrature_vs_closed_form():
     for d in (3.0, 5.0):
         m = g.make_bessel_model(d)

@@ -87,6 +87,20 @@ def test_fibonacci_levels_exact_values():
         g.fibonacci_levels(1)
     with pytest.raises(g.DomainError):
         g.fibonacci_levels(0)
+    for bad in (2.7, 12.0, np.float64(12)):
+        with pytest.raises(g.DomainError, match="integer n"):
+            g.fibonacci_levels(bad)
+    assert g.fibonacci_levels(np.int64(12)) == lv
+
+
+def test_direct_sampler_path_count_must_be_an_integer():
+    cev = g.CevModel(d=3.0, c_sigma=1.0)
+    kw = dict(seed=21, step=1e-2, horizon=30.0)
+    with pytest.raises(g.DomainError, match="n_paths"):
+        g.direct_stopped_samples(cev, 1.0, 2.0, n_paths=2.5, **kw)
+    ref = g.direct_stopped_samples(cev, 1.0, 2.0, n_paths=8, **kw)
+    got = g.direct_stopped_samples(cev, 1.0, 2.0, n_paths=np.int64(8), **kw)
+    assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
 
 
 def test_fibonacci_levels_alternate_and_converge():

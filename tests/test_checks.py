@@ -1,6 +1,7 @@
 """Check groups: pass counts, the merged golden-rule pass, grader forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,12 +24,32 @@ def test_golden_rule_checks_equal_star_then_sweep(seed, monkeypatch):
     kw = dict(n_paths=300, seed=seed, step=1e-2)
     merged = [r.row() for r in checks.golden_rule_checks(**kw)]
     assert passes == [5]
-    apart = [r.row() for r in checks.golden_rule_star_checks(**kw)
-             + checks.golden_rule_sweep_checks(**kw)]
-    assert passes == [5, 1, 5]
+    star = [r.row() for r in checks.golden_rule_star_checks(**kw)]
+    assert passes == [5, 1]
     assert [r["name"] for r in merged] == [
         "objective-vs-prediction", "stopped-law-ks", "stopped-mean", "sweep-optimality"]
-    assert merged == apart
+    assert merged[:3] == star
+
+
+def test_run_checks_rejects_a_fractional_path_count(monkeypatch):
+    # it used to truncate 2.5 to 2 paths and run every group on them
+    ran = []
+    monkeypatch.setattr(simulate, "_sharded", lambda run, n: ran.append(n))
+    monkeypatch.setattr(cev, "_sharded", lambda run, n: ran.append(n))
+    for group in checks.CHECK_GROUPS:
+        with pytest.raises(g.DomainError, match="n_paths"):
+            checks.run_checks([group], n_paths=2.5, step=1e-2)
+    assert ran == []
+
+
+def test_cev_group_warning_names_its_caller():
+    # at horizon 1 some direct paths are still running; the truncation
+    # warning names this file, not a module of the package
+    with warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        checks.cev_checks(n_paths=64, seed=42, step=1e-2, horizon=1.0)
+    assert len(w) == 1 and "hit the horizon" in str(w[0].message)
+    assert w[0].filename == __file__
 
 
 def test_engine_passes_per_check_group(monkeypatch):

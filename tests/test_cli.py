@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import runpy
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +16,7 @@ import goldenstop as g
 from goldenstop.cli import main
 
 LAM3 = g.bessel_lambda(3.0)
+PACKAGE = Path(g.__file__).resolve().parent
 
 
 def _rows(text):
@@ -139,6 +144,37 @@ def test_lambda_json_exact_text():
         '  "lambda": 1.444423926575542,\n'
         '  "residual": 0.0\n'
         "}\n"
+    )
+
+
+def test_distribution_json_exact_text():
+    res = CliRunner().invoke(main, ["--format", "json", "distribution"])
+    assert res.exit_code == 0
+    assert res.output == (
+        '{\n  "d": 3.0,\n  "exponent": 1.6180339887498947,\n  "lam": 2.618033988749895,\n'
+        '  "mean": 1.6180339887498945,\n  "quantiles": {\n'
+        '    "0.05": 0.411049877199586,\n    "0.10": 0.6308720569634824,\n'
+        '    "0.15": 0.8105348170149241,\n    "0.20": 0.9682512374625669,\n'
+        '    "0.25": 1.1114290464530296,\n    "0.30": 1.2439944532630065,\n'
+        '    "0.35": 1.3683394098430228,\n    "0.40": 1.486054816503086,\n'
+        '    "0.45": 1.5982651401557904,\n    "0.50": 1.705801576883407,\n'
+        '    "0.55": 1.809300061112769,\n    "0.60": 1.9092606107266488,\n'
+        '    "0.65": 2.006085209992739,\n    "0.70": 2.100103043438483,\n'
+        '    "0.75": 2.191587903952755,\n    "0.80": 2.2807705605823165,\n'
+        '    "0.85": 2.367847768192376,\n    "0.90": 2.452988974020614,\n'
+        '    "0.95": 2.5363414046347006\n  },\n'
+        '  "upper_support": 2.618033988749895,\n  "x0": 1.0\n}\n'
+    )
+
+
+def test_fib_json_exact_text():
+    res = CliRunner().invoke(main, ["--format", "json", "fib", "--n", "12"])
+    assert res.exit_code == 0
+    assert res.output == (
+        '{\n  "golden": 0.6180257510729614,\n  "limits": {\n'
+        '    "golden": 0.6180339887498948,\n    "moderate": 0.38196601125010515,\n'
+        '    "shallow": 0.23606797749978967\n  },\n  "moderate": 0.3819628647214854,\n'
+        '  "n": 12,\n  "retracement": 0.6180339887498949,\n  "shallow": 0.2360655737704918\n}\n'
     )
 
 
@@ -276,6 +312,71 @@ def test_failing_checks_exit_4():
     names = [r[0] for r in rows[1:]]
     assert "objective-vs-prediction" in names
     assert any(r[3] == "false" for r in rows[1:])
+
+
+def test_check_table_json(monkeypatch):
+    rows = [g.CheckResult("a", 0.5, 1.0, True, "ok"), g.CheckResult("b", 3.0, 2.0, False, "bad")]
+    monkeypatch.setattr("goldenstop.cli.run_checks", lambda **kw: rows)
+    res = CliRunner().invoke(main, ["--format", "json", "simulate", "--checks", "cev"])
+    assert res.exit_code == 4
+    assert json.loads(res.output) == {"checks": [r.row() for r in rows], "passed": False}
+    monkeypatch.setattr("goldenstop.cli.run_checks", lambda **kw: rows[:1])
+    res = CliRunner().invoke(main, ["--format", "json", "simulate", "--check"])
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {"checks": [rows[0].row()], "passed": True}
+
+
+def _parsed_rules(monkeypatch, *specs):
+    seen = []
+
+    def fake_compare(model, x0, rules, **kwargs):
+        seen.extend(rules)
+        return g.RuleComparison(estimates=[], objectives=None)
+
+    monkeypatch.setattr("goldenstop.cli.compare_rules", fake_compare)
+    res = CliRunner().invoke(main, ["simulate", *[a for s in specs for a in ("--rule", s)]])
+    return res, seen
+
+
+def test_drawdown_rule_parses_with_and_without_kappa(monkeypatch):
+    res, rules = _parsed_rules(monkeypatch, "drawdown", "drawdown:3.5")
+    assert res.exit_code == 0
+    assert rules == [g.StoppingRule.drawdown_rule(g.cev_rule_threshold(g.CevModel(3.0))),
+                     g.StoppingRule.drawdown_rule(3.5)]
+
+
+def test_boundary_rule_needs_a_path(monkeypatch):
+    res, rules = _parsed_rules(monkeypatch, "boundary:")
+    assert res.exit_code == 2 and rules == []
+    assert "boundary rule needs a CSV path" in res.stderr
+
+
+@pytest.mark.parametrize("args, match", [
+    (["simulate", "--rule", "ratio:4.0", "--n-paths", "64", "--step", "1e-3", "--horizon", "0.05"],
+     "horizon-biased"),
+    (["boundary", "--shots", "1", "--grid", "16"], "not converged"),
+])
+def test_cli_warnings_name_a_caller_outside_the_package(args, match):
+    with warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0
+    assert len(w) == 1 and match in str(w[0].message)
+    assert PACKAGE not in Path(w[0].filename).resolve().parents
+
+
+def test_module_run_warning_names_no_package_line(monkeypatch):
+    # run as `python -m goldenstop.cli` the CLI module is __main__, yet a
+    # file of the package; the warning still names a line outside it
+    monkeypatch.setattr(sys, "argv", ["goldenstop", "boundary", "--shots", "1", "--grid", "16"])
+    with warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("goldenstop.cli", run_name="__main__")
+    assert done.value.code == 0
+    (warned,) = [x for x in w if issubclass(x.category, UserWarning)]
+    assert "not converged" in str(warned.message)
+    assert PACKAGE not in Path(warned.filename).resolve().parents
 
 
 def test_unknown_check_group_exit_2():

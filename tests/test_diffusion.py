@@ -6,6 +6,7 @@ L(x) = -1/x: started at 2, the chance of exiting (1, 4) at the top is
 the martingale X_t^2 - 3t as (1/3 + 16*2/3 - 4)/3 = 7/3.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -163,6 +164,31 @@ def test_h_curve_needs_inverse():
     )
     with pytest.raises(g.UnsupportedModelError):
         g.h_curve(no_inv, 1.0)
+
+
+def test_custom_speed_density_matches_bessel():
+    # a model_from_scale copy of the Bessel model builds its speed density
+    # from sigma and L'; the quadratures that read it agree to 1e-10
+    m = g.make_bessel_model(3.0)
+    copy = g.model_from_scale(m.drift, m.volatility, m.scale, m.scale_deriv, m.scale_inverse)
+    b = g.line_boundary(m, g.bessel_lambda(3.0), 0.1, 8.0)
+    for i, x in ((1.0, 1.0), (1.0, 1.7), (0.5, 1.2), (2.0, 4.1)):
+        ref = g.value_function_numeric(m, b, i, x)
+        assert abs(g.value_function_numeric(copy, b, i, x) - ref) <= 1e-10 * abs(ref), (i, x)
+    for a, x, bb in ((0.5, 1.0, 2.0), (1.0, 1.5, 4.0), (0.2, 0.3, 9.0)):
+        ref = g.expected_exit_integral(m, np.ones_like, a, x, bb)
+        got = g.expected_exit_integral(copy, np.ones_like, a, x, bb)
+        assert abs(got - ref) <= 1e-10 * abs(ref), (a, x, bb)
+
+
+def test_kind_follows_dim():
+    m = g.make_bessel_model(3.0)
+    assert m.kind == "bessel"
+    assert dataclasses.replace(m, dim=None).kind == "custom"
+    copy = g.model_from_scale(m.drift, m.volatility, m.scale, m.scale_deriv, m.scale_inverse)
+    assert copy.kind == "custom" and dataclasses.replace(copy, dim=3.0).kind == "bessel"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.kind = "custom"
 
 
 def test_validate_model_flags_bad_scale():

@@ -3,8 +3,11 @@
 The package re-exports its modules' lists by star import, so it must export
 exactly their concatenation, and no name may come from two modules."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +45,42 @@ def test_no_name_exported_twice():
             owners.setdefault(n, []).append(m.__name__)
     shared = {n: ms for n, ms in owners.items() if len(ms) > 1}
     assert not shared, f"exported by more than one module: {shared}"
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _package_reads(tree):
+    """(alias, module, attribute, line) for every attribute read off a name
+    bound to the package or one of its modules, and every ``from goldenstop.x
+    import name`` (as alias None)."""
+    aliases, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "goldenstop":
+                    # plain `import goldenstop.x` binds the package itself
+                    aliases[a.asname or "goldenstop"] = importlib.import_module(
+                        a.name if a.asname else "goldenstop")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "goldenstop":
+            parent = importlib.import_module(node.module)
+            for a in node.names:
+                if inspect.ismodule(getattr(parent, a.name, None)):
+                    aliases[a.asname or a.name] = getattr(parent, a.name)
+                else:
+                    reads.append((None, parent, a.name, node.lineno))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                reads.append((node.value.id, aliases[node.value.id], node.attr, node.lineno))
+    return reads
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
+def test_benchmark_names_resolve(path):
+    # the benchmark reads the package by name; retiring a name it reads
+    # breaks it, and only this catches that before the benchmark runs
+    reads = _package_reads(ast.parse(path.read_text(), str(path)))
+    missing = [f"{path.name}:{line} {alias or m.__name__}.{attr}"
+               for alias, m, attr, line in reads if not hasattr(m, attr)]
+    assert not missing, f"benchmark reads names the package no longer has: {missing}"

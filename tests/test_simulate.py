@@ -172,7 +172,6 @@ def _assert_rows_replay(res, model, x0, rules, seed, step, horizon, **kw):
         for p in range(res.stop_step.shape[1]):
             po = g.simulate_path(model, x0, step, rule, horizon, g.make_path_stream(seed, p), **kw)
             assert po == g.PathOutcome(
-                stop_time=float(res.stop_step[j, p]) * step,
                 x_stop=float(res.x_stop[j, p]),
                 i_stop=float(res.i_stop[j, p]),
                 objective_integral=float(res.objective[j, p]),
@@ -191,7 +190,6 @@ def test_simulate_path_matches_batch_row():
         po = g.simulate_path(model, 0.4, 1e-2, rule, 50.0,
                              g.make_path_stream(7, p))
         assert po.n_steps == int(res.stop_step[0, p])
-        assert po.stop_time == float(res.stop_step[0, p]) * 1e-2
         assert po.x_stop == float(res.x_stop[0, p])
         assert po.i_stop == float(res.i_stop[0, p])
         assert po.objective_integral == float(res.objective[0, p])
@@ -291,7 +289,8 @@ def test_drawdown_rule_identities():
 @pytest.fixture(scope="module")
 def shot_limit3():
     """The d = 3 shot-limit boundary: within 1e-9 of the ray lam(3) i,
-    but a monotone-cubic grid, so evaluation and inversion interpolate."""
+    but a monotone-cubic grid, so evaluation interpolates and inversion
+    solves the interpolant."""
     b = g.minimal_boundary(g.make_bessel_model(3.0), 0.05, 4.0)
     assert b.ratio is None
     return b
@@ -307,7 +306,7 @@ def test_shot_limit_stopped_cdf_is_the_ratio_law(shot_limit3):
 
 def test_shot_limit_stopped_sample_is_the_ratio_sample(shot_limit3):
     # the boundary rule triggers on the same steps as the ray it approximates,
-    # and its KS distance reads the quadrature law through the PCHIP inverse
+    # and its KS distance reads the quadrature law through the cubic's inverse
     model = g.make_bessel_model(3.0)
     kw = dict(n_paths=300, seed=7, step=1e-2, horizon=20.0)
     s_b = _stopped_sample(model, g.StoppingRule.boundary_rule(shot_limit3), **kw)
@@ -333,6 +332,17 @@ def test_rule_validation():
         g.StoppingRule(variant="boundary", boundary=None)
     with pytest.raises(g.DomainError):
         g.StoppingRule(variant="garbled")
+
+
+def test_path_count_must_be_an_integer():
+    model, rule = g.make_bessel_model(3.0), g.StoppingRule.ratio_rule(LAM3)
+    kw = dict(seed=3, step=1e-2, horizon=1.0)
+    for bad in (2.5, np.float64(4.0), "4", 0, np.int64(-1)):
+        with pytest.raises(g.DomainError, match="n_paths"):
+            simulate_rules(model, 1.0, [rule], bad, **kw)
+    ref = simulate_rules(model, 1.0, [rule], 4, **kw)
+    res = simulate_rules(model, 1.0, [rule], np.int64(4), **kw)
+    assert np.array_equal(res.x_stop, ref.x_stop) and np.array_equal(res.stop_step, ref.stop_step)
 
 
 def test_rule_ids():
