@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionModel, _check_dim, _expm1_over, _integrate
+from .diffusion import DiffusionModel, _check_dim, _check_real, _expm1_over, _integrate
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -71,10 +71,7 @@ def bessel_characteristic(d: float, lam) -> float:
     unique zero above 2^(1/(d-2)).
     """
     d = _check_dim(d)
-    lam = np.asarray(lam, dtype=float)
-    if np.any(~np.isfinite(lam)) or np.any(lam <= 0.0):
-        raise DomainError(f"need lam > 0, got {lam}")
-    return _F(d, lam)
+    return _F(d, _check_real("lam", lam, 0.0))
 
 
 def bessel_characteristic_derivative(d: float, lam) -> float:
@@ -84,10 +81,7 @@ def bessel_characteristic_derivative(d: float, lam) -> float:
     latter, which is what makes the bracketed Newton iteration safe.
     """
     d = _check_dim(d)
-    lam = np.asarray(lam, dtype=float)
-    if np.any(~np.isfinite(lam)) or np.any(lam <= 0.0):
-        raise DomainError(f"need lam > 0, got {lam}")
-    return _dF(d, lam)
+    return _dF(d, _check_real("lam", lam, 0.0))
 
 
 def bessel_lambda(d: float) -> float:
@@ -162,10 +156,8 @@ def bessel_value(d: float, lam: float, i: float, x: float) -> float:
     or cancellation.
     """
     d = _check_dim(d)
-    if not (lam > 1.0) or not math.isfinite(lam):
-        raise DomainError(f"need lam > 1, got {lam}")
-    if not (0.0 < i <= x) or not math.isfinite(x):
-        raise DomainError(f"need 0 < i <= x, got i={i}, x={x}")
+    _check_real("lam", lam, 1.0)
+    _check_real("x", x, _check_real("i", i, 0.0), strict=False)
     if x >= lam * i:
         return 0.0
     q = lam * i / x
@@ -203,10 +195,8 @@ class StoppedDistribution:
 
 def make_stopped_distribution(d: float, lam: float, x0: float) -> StoppedDistribution:
     d = _check_dim(d)
-    if not (lam > 1.0) or not math.isfinite(lam):
-        raise DomainError(f"need finite lam > 1, got {lam}")
-    if not (x0 > 0.0) or not math.isfinite(x0):
-        raise DomainError(f"need finite x0 > 0, got {x0}")
+    _check_real("lam", lam, 1.0)
+    _check_real("x0", x0, 0.0)
     p = (d - 2.0) / (1.0 - lam ** (-(d - 2.0)))
     return StoppedDistribution(d=d, lam=lam, x0=x0, p=p)
 
@@ -255,18 +245,19 @@ def stopped_cdf_general(model: DiffusionModel, boundary, x0: float, y) -> float:
 
         P(f(I) <= y) = exp( - int_{f^{-1}(y)}^{x0} L'(z) / (L(f(z)) - L(z)) dz ).
 
-    Reduces to the power law of `stopped_cdf` for ray boundaries.  The
-    boundary must be invertible on its grid (it is strictly increasing).
+    Reduces to the power law of `stopped_cdf` for ray boundaries, which are
+    evaluated and inverted exactly for every i > 0, so a ray's law holds
+    for every y > 0.  A curved boundary is known on its grid only: there
+    the CDF is 0 for y <= f(i_grid[0]).
     """
-    if not (x0 > 0.0) or not math.isfinite(x0):
-        raise DomainError(f"need finite x0 > 0, got {x0}")
+    _check_real("x0", x0, 0.0)
     y = float(y)
     if not math.isfinite(y):
         raise DomainError("cdf argument must be finite")
     f_x0 = float(boundary(x0))
     if y >= f_x0:
         return 1.0
-    if y <= boundary.f_grid[0]:  # f(i_grid[0]), for rays and cubics alike
+    if y <= (0.0 if boundary.ratio is not None else boundary.f_grid[0]):
         return 0.0
     z_y = float(boundary.inverse(y))
 

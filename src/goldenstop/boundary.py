@@ -47,7 +47,15 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .diffusion import DiffusionModel, _integrate, _read_columns, c_value, h_curve
+from .diffusion import (
+    DiffusionModel,
+    _check_count,
+    _check_real,
+    _integrate,
+    _read_columns,
+    c_value,
+    h_curve,
+)
 from .errors import (
     ConsistencyError,
     DivergenceError,
@@ -127,8 +135,7 @@ class Boundary:
             raise DomainError("boundary grids must be 1-d arrays of equal length")
         if ig.size < 4:
             raise DomainError(f"boundary grid needs at least 4 nodes, got {ig.size}")
-        if np.any(ig <= 0.0) or np.any(~np.isfinite(ig)):
-            raise DomainError("boundary abscissae must be positive and finite")
+        _check_real("boundary abscissae", ig, 0.0)
         if np.any(np.diff(ig) <= 0.0):
             raise DomainError("boundary abscissae must be strictly increasing")
         if np.any(np.diff(fg) <= 0.0):
@@ -183,12 +190,8 @@ def line_boundary(
     The ray must clear the sign-change curve on the whole grid (for Bessel
     models: lam > 2^(1/(d-2))).
     """
-    if not (lam > 1.0) or not math.isfinite(lam):
-        raise DomainError(f"need lam > 1, got {lam}")
-    if not (0.0 < i_min < i_max):
-        raise DomainError(f"need 0 < i_min < i_max, got {i_min}, {i_max}")
-    ig = np.geomspace(i_min, i_max, n_grid)
-    hg = np.asarray(h_curve(model, ig), dtype=float)
+    _check_real("lam", lam, 1.0)
+    ig, hg = _grid(model, i_min, i_max, n_grid, "i_min", least=4)
     return Boundary(
         i_grid=ig,
         f_grid=lam * ig,
@@ -224,8 +227,7 @@ def boundary_ode_rhs(model: DiffusionModel, i: float, f: float) -> float:
     curve (c(i, f) = 0, a 0/0 point); just above it the rhs is large and
     positive, decaying toward the ray slope as f grows.
     """
-    if not (0.0 < i < f) or not (math.isfinite(i) and math.isfinite(f)):
-        raise DomainError(f"need 0 < i < f, got i={i}, f={f}")
+    _check_real("f", f, _check_real("i", i, 0.0))
     c, n, s, J = _rhs_terms(model, i, f)
     if abs(c) < SINGULAR_C_TOL:
         raise SingularPointError(
@@ -306,13 +308,10 @@ def _shot(model: DiffusionModel, i_start: float, i_max: float, nodes: np.ndarray
     return out, sol.nfev
 
 
-def _grid(model: DiffusionModel, i_lo: float, i_max: float, n_grid: int, name: str):
-    """Geometric grid of n_grid >= 16 nodes over [i_lo, i_max] and h on it."""
-    if not (0.0 < i_lo < i_max):
-        raise DomainError(f"need 0 < {name} < i_max, got {name}={i_lo}, i_max={i_max}")
-    if n_grid < 16:
-        raise DomainError(f"need n_grid >= 16, got {n_grid}")
-    grid = np.geomspace(i_lo, i_max, n_grid)
+def _grid(model: DiffusionModel, i_lo: float, i_max: float, n_grid: int, name: str, least=16):
+    """Geometric grid of n_grid >= least nodes over [i_lo, i_max] and h on it."""
+    _check_real("i_max", i_max, _check_real(name, i_lo, 0.0))
+    grid = np.geomspace(i_lo, i_max, _check_count("n_grid", n_grid, least))
     return grid, np.asarray(h_curve(model, grid), dtype=float)
 
 
@@ -351,8 +350,7 @@ def minimal_boundary(
     n_shots warns and returns the deepest shot.
     """
     grid, hg = _grid(model, i_min, i_max, n_grid, "i_min")
-    if n_shots < 1:
-        raise DomainError(f"need n_shots >= 1, got {n_shots}")
+    n_shots = _check_count("n_shots", n_shots, 1)
     prev, converged, shots = None, False, []
     for n_used in range(1, n_shots + 1):
         start = i_min * 10.0**-n_used
@@ -432,8 +430,7 @@ def value_function_numeric(
     x >= f(i).  For the minimal boundary of a Bessel model this matches
     the closed form `bessel_value`.
     """
-    if not (0.0 < i <= x) or not math.isfinite(x):
-        raise DomainError(f"need 0 < i <= x, got i={i}, x={x}")
+    _check_real("x", x, _check_real("i", i, 0.0), strict=False)
     if x >= float(boundary(i)):
         return 0.0
     return _value_formula(model, boundary, i, x)
@@ -459,8 +456,7 @@ def free_boundary_residuals(
     i must exceed 1e-3/(1 - 1e-3).  The quadratures run much tighter than
     the public default because the second difference divides by delta^2.
     """
-    if not (0.0 < i <= x):
-        raise DomainError(f"need 0 < i <= x, got i={i}, x={x}")
+    _check_real("x", x, _check_real("i", i, 0.0), strict=False)
     f_i = float(boundary(i))
     if x > f_i:
         raise DomainError(f"need x <= f(i) = {f_i:g}, got x={x}")

@@ -33,12 +33,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bessel import bessel_lambda
-from .diffusion import _check_dim, make_bessel_model
+from .diffusion import _check_count, _check_dim, _check_real, make_bessel_model
 from .errors import DomainError, _caller_stacklevel
 from .simulate import (
     StoppingRule,
-    _check_count,
-    _check_seed,
     _first_true,
     _horizon_steps,
     _lane_blocks,
@@ -78,8 +76,7 @@ class CevModel:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _check_dim(self.d))
-        if not (self.c_sigma > 0.0) or not math.isfinite(self.c_sigma):
-            raise DomainError(f"need c_sigma > 0, got {self.c_sigma}")
+        _check_real("c_sigma", self.c_sigma, 0.0)
         nu = self.d - 2.0
         root = self.c_sigma ** (1.0 / nu)
         object.__setattr__(self, "sigma", nu / root)
@@ -89,8 +86,7 @@ class CevModel:
 def cev_transform(cev: CevModel, x):
     """Price Z = K(x) = c_sigma x^(2-d); strictly decreasing in x."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(~np.isfinite(x)):
-        raise DomainError(f"need x > 0, got {x}")
+    _check_real("x", x, 0.0)
     out = cev.c_sigma * x ** (2.0 - cev.d)
     return float(out) if out.ndim == 0 else out
 
@@ -98,8 +94,7 @@ def cev_transform(cev: CevModel, x):
 def cev_inverse_transform(cev: CevModel, z):
     """State K^{-1}(z) = (c_sigma/z)^(1/(d-2))."""
     z = np.asarray(z, dtype=float)
-    if np.any(z <= 0.0) or np.any(~np.isfinite(z)):
-        raise DomainError(f"need z > 0, got {z}")
+    _check_real("z", z, 0.0)
     out = (cev.c_sigma / z) ** (1.0 / (cev.d - 2.0))
     return float(out) if out.ndim == 0 else out
 
@@ -172,12 +167,10 @@ def direct_stopped_samples(
 
     Returns (sorted stopped-Z sample, truncated count).
     """
-    if not (z0 > 0.0) or not math.isfinite(z0):
-        raise DomainError(f"need z0 > 0, got {z0}")
-    if not (kappa > 1.0) or not math.isfinite(kappa):
-        raise DomainError(f"need finite kappa > 1, got {kappa}")
+    _check_real("z0", z0, 0.0)
+    _check_real("kappa", kappa, 1.0)
     n_paths = _check_count("n_paths", n_paths, 1)
-    seed = _check_seed(seed)
+    seed = _check_count("seed", seed, 0, below=2**63)
     n_max = _horizon_steps(horizon, step)
     sqdt = math.sqrt(step)
     z0, sigma, p = float(z0), cev.sigma, 1.0 + cev.beta

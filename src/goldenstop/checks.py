@@ -247,6 +247,9 @@ def cev_checks(
       independently seeded, must agree to two-sample KS <= 0.05.  Both
       routes monitor extrema on the shared grid, so the comparison
       isolates the transform and the two discretisations.
+
+    A horizon at which either route stops no path raises DomainError
+    naming both stopped counts, since the KS row would grade an empty sample.
     """
     d = 3.0
     lam = bessel_lambda(d)
@@ -278,6 +281,11 @@ def cev_checks(
         cev, 1.0, lam, n_paths=n_paths, seed=seed + 1_000_003, step=step,
         horizon=horizon,
     )
+    if not (za.size and zb.size):
+        raise DomainError(
+            f"horizon={horizon} stops {za.size} transformed and {zb.size} direct paths of "
+            f"{n_paths}: the two-route KS needs stops on both; pass a longer horizon"
+        )
     ks = float(ks_2samp(za, zb).statistic)
     out.append(
         CheckResult(

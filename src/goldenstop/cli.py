@@ -343,6 +343,15 @@ def main(ctx, seed, out, fmt):
     ctx.obj = {"seed": seed, "out": out, "fmt": fmt}
 
 
+def _reject_given(ctx, names, reason):
+    """UsageError naming every option among ``names`` that the command line
+    or the environment set, followed by ``reason``."""
+    flags = ["/".join(p.opts[:1] + p.secondary_opts) for p in ctx.command.params
+             if p.name in names and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
+    if flags:
+        raise click.UsageError(f"{', '.join(flags)} {reason}")
+
+
 def _run(ctx, body, **options):
     """Dispatch `body` with the group's --format and --out; exit with its code."""
     ctx.exit(dispatch(body, ctx.obj["fmt"], ctx.obj["out"], **options))
@@ -388,8 +397,8 @@ def lambda_cmd(ctx, dim):
 @click.pass_context
 def boundary_cmd(ctx, dim, **options):
     """Stopping boundary table: columns i, f, h and the ratio f/i."""
-    if options["ray"] and ctx.get_parameter_source("shots") is not ParameterSource.DEFAULT:
-        raise click.UsageError("--shots conflicts with --ray: it sets the shooting solver, which --ray skips")
+    if options["ray"]:
+        _reject_given(ctx, {"shots"}, "conflicts with --ray: it sets the shooting solver, which --ray skips")
     _run(ctx, _cmd_boundary, d=dim, **options)
 
 
@@ -419,11 +428,6 @@ def distribution_cmd(ctx, dim, **options):
     _run(ctx, _cmd_distribution, d=dim, **options)
 
 
-# simulate options that only a plain estimate reads, as (parameter, flag)
-_PLAIN_ONLY = (("dim", "--dim"), ("x0", "--x0"), ("rules", "--rule"), ("horizon", "--horizon"),
-               ("scheme", "--scheme"), ("bridge", "--bridge/--no-bridge"))
-
-
 @main.command("simulate")
 @_dim_option
 @click.option("--x0", type=float, default=1.0, show_default=True,
@@ -450,13 +454,11 @@ _PLAIN_ONLY = (("dim", "--dim"), ("x0", "--x0"), ("rules", "--rule"), ("horizon"
 def simulate_cmd(ctx, dim, **options):
     """Monte Carlo objective estimates, or the statistical check suite."""
     if options["check"] or options["check_groups"]:
-        ignored = [flag for name, flag in _PLAIN_ONLY
-                   if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
-        if ignored:
-            raise click.UsageError(
-                f"{', '.join(ignored)} cannot be combined with --check/--checks: "
-                "the suite fixes its own models, rules and horizons"
-            )
+        # the suite reads only these; every other option sets a plain estimate
+        suite = {"n_paths", "step", "check", "check_groups"}
+        _reject_given(ctx, {p.name for p in ctx.command.params} - suite,
+                    "cannot be combined with --check/--checks: "
+                    "the suite fixes its own models, rules and horizons")
     _run(ctx, _cmd_simulate, seed=ctx.obj["seed"], d=dim, **options)
 
 

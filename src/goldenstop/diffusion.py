@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -159,17 +160,58 @@ class DiffusionModel:
         return f"DiffusionModel(kind={self.kind!r}, dim={self.dim!r}, domain={self.domain!r})"
 
 
-def _require_positive(name, value):
-    if not np.all(np.isfinite(value)) or np.any(np.asarray(value) <= 0.0):
-        raise DomainError(f"{name} must be positive and finite, got {value}")
+def _check_count(name, value, least, below=None) -> int:
+    """``value`` as an int; DomainError unless it is a Python or numpy integer
+    (by ``__index__``; a bool is not one) in [least, below), ``below`` a power
+    of two or None."""
+    try:
+        v = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        v = None
+    if v is not None and least <= v and (below is None or v < below):
+        return v
+    if below is None:
+        raise DomainError(f"need an integer {name} >= {least}, got {value!r}")
+    raise DomainError(f"{name} must lie in [{least}, 2^{below.bit_length() - 1}) as an integer, "
+                      f"got {value!r}")
+
+
+def _check_real(name, value, bound, strict=True):
+    """``value`` (a real or an array of reals) as float(s); DomainError unless
+    every entry is finite and above ``bound``, or at it when not ``strict``."""
+    try:
+        if isinstance(value, (int, float)):  # Python reals and numpy floats skip numpy's overhead
+            v = float(value)
+            ok = math.isfinite(v) and (v > bound if strict else v >= bound)
+        else:
+            v = np.asarray(value, dtype=float)
+            ok = not isinstance(value, str) and np.all(np.isfinite(v) & (v > bound if strict else v >= bound))
+            v = float(v) if v.ndim == 0 else v
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise DomainError(f"need finite {name} {'>' if strict else '>='} {bound:g}, got {value}")
+    return v
 
 
 def _check_in_domain(model, name, value):
-    _require_positive(name, value)
+    v = _check_real(name, value, 0.0)
     lo, hi = model.domain
-    v = np.asarray(value, dtype=float)
     if np.any(v < lo) or np.any(v > hi):
         raise DomainError(f"{name}={value} outside model domain [{lo}, {hi}]")
+
+
+def _check_interval(model, a, b, **points):
+    """DomainError unless a < b lie in the model's domain and every named
+    point lies in [a, b]."""
+    _check_in_domain(model, "a", a)
+    _check_in_domain(model, "b", b)
+    if not a < b:
+        raise DomainError(f"need a < b, got a={a}, b={b}")
+    for name, v in points.items():
+        _check_in_domain(model, name, v)
+        if not a <= v <= b:
+            raise DomainError(f"need a <= {name} <= b, got {name}={v}, a={a}, b={b}")
 
 
 def _check_dim(d) -> float:
@@ -332,10 +374,10 @@ def model_from_coefficients(
     and scale_deriv are elementwise.  The scale inverse is a root solve in
     t over [log x_min, log x_max].
     """
-    _require_positive("x_ref", x_ref)
-    x_min = x_ref * 1e-6 if x_min is None else float(x_min)
-    x_max = x_ref * 1e6 if x_max is None else float(x_max)
-    if not (0.0 < x_min < x_ref < x_max):
+    x_ref = _check_real("x_ref", x_ref, 0.0)
+    x_min = _check_real("x_min", x_ref * 1e-6 if x_min is None else x_min, 0.0)
+    x_max = _check_real("x_max", x_ref * 1e6 if x_max is None else x_max, 0.0)
+    if not (x_min < x_ref < x_max):
         raise DomainError(
             f"need 0 < x_min < x_ref < x_max, got {x_min}, {x_ref}, {x_max}"
         )
@@ -405,8 +447,8 @@ def model_from_csv(path) -> DiffusionModel:
     xs = np.asarray(xs)
     if np.any(np.diff(xs) <= 0.0):
         raise DomainError(f"{path}: x column must be strictly ascending")
-    _require_positive("x column", xs)
-    _require_positive("sigma column", np.asarray(sigmas))
+    _check_real("x column", xs, 0.0)
+    _check_real("sigma column", sigmas, 0.0)
 
     mu_i = PchipInterpolator(xs, mus)
     sg_i = PchipInterpolator(xs, sigmas)
@@ -456,18 +498,19 @@ def hitting_probabilities(model: DiffusionModel, a: float, x: float, b: float):
     p_a = (L(b) - L(x)) / (L(b) - L(a)), p_b = 1 - p_a exactly (the pair
     always sums to 1 in floating point).
     """
-    _check_in_domain(model, "a", a)
-    _check_in_domain(model, "x", x)
-    _check_in_domain(model, "b", b)
-    if not (a < b):
-        raise DomainError(f"need a < b, got a={a}, b={b}")
-    if not (a <= x <= b):
-        raise DomainError(f"need a <= x <= b, got a={a}, x={x}, b={b}")
+    _check_interval(model, a, b, x=x)
     la, lx, lb = model.scale(a), model.scale(x), model.scale(b)
     p_a = (lb - lx) / (lb - la)
     # clamp roundoff; the formula is a ratio of nearby negatives
     p_a = min(1.0, max(0.0, float(p_a)))
     return p_a, 1.0 - p_a
+
+
+def _green(la, lb, lx, ly, weight=1.0):
+    """weight * G(x, y) from L at a, b, x and y (L increases, so the smaller
+    value is L(x^y)); the weight multiplies first, as in the integrands."""
+    lo, hi = min(lx, ly), max(lx, ly)
+    return weight * (lo - la) * (lb - hi) / (lb - la)
 
 
 def green_function(model: DiffusionModel, a: float, b: float, x: float, y: float):
@@ -477,17 +520,8 @@ def green_function(model: DiffusionModel, a: float, b: float, x: float, y: float
     smaller and xvy the larger of x, y; expected occupation functionals are
     integrals f(y) G(x, y) m'(y) dy over (a, b).
     """
-    _check_in_domain(model, "a", a)
-    _check_in_domain(model, "b", b)
-    if not (a < b):
-        raise DomainError(f"need a < b, got a={a}, b={b}")
-    for name, v in (("x", x), ("y", y)):
-        _check_in_domain(model, name, v)
-        if not (a <= v <= b):
-            raise DomainError(f"need a <= {name} <= b, got {name}={v}, a={a}, b={b}")
-    la, lb = model.scale(a), model.scale(b)
-    lo, hi = (x, y) if x <= y else (y, x)
-    return float((model.scale(lo) - la) * (lb - model.scale(hi)) / (lb - la))
+    _check_interval(model, a, b, x=x, y=y)
+    return float(_green(model.scale(a), model.scale(b), model.scale(x), model.scale(y)))
 
 
 def expected_exit_integral(
@@ -502,25 +536,15 @@ def expected_exit_integral(
     Adaptive quadrature of f(y) G(x, y) m'(y) over (a, b), split at y = x
     where the kernel has a kink.
     """
-    _check_in_domain(model, "a", a)
-    _check_in_domain(model, "x", x)
-    _check_in_domain(model, "b", b)
-    if not (a < b) or not (a <= x <= b):
-        raise DomainError(f"need a <= x <= b with a < b, got a={a}, x={x}, b={b}")
+    _check_interval(model, a, b, x=x)
+    la, lb, lx = model.scale(a), model.scale(b), model.scale(x)
 
-    la, lb = model.scale(a), model.scale(b)
-    denom = lb - la
-    lx = model.scale(x)
-
-    def left(y):
-        return f(y) * (model.scale(y) - la) * (lb - lx) / denom * model.speed_density(y)
-
-    def right(y):
-        return f(y) * (lx - la) * (lb - model.scale(y)) / denom * model.speed_density(y)
+    def integrand(y):
+        return _green(la, lb, lx, model.scale(y), f(y)) * model.speed_density(y)
 
     total = 0.0
     if x > a:
-        total += _integrate(left, a, x)
+        total += _integrate(integrand, a, x)
     if x < b:
-        total += _integrate(right, x, b)
+        total += _integrate(integrand, x, b)
     return total

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 import threading
 import warnings
@@ -67,7 +66,7 @@ import numpy as np
 from scipy.special import gammaincinv, ndtri
 
 from .boundary import Boundary
-from .diffusion import DiffusionModel
+from .diffusion import DiffusionModel, _check_count, _check_real
 from .errors import DomainError, SchemeError, _caller_stacklevel
 
 __all__ = [
@@ -89,20 +88,6 @@ EULER_FLOOR = 1e-12
 # uniforms are clipped here before the inverse normal and gamma CDFs
 # (random() is a multiple of 2^-53, so only exact zeros are affected)
 _U_FLOOR = 2.0**-53
-
-
-def _check_count(name, value, least) -> int:
-    """``value`` (a Python or numpy integer) as an int; DomainError unless >= least."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise DomainError(f"need an integer {name} >= {least}, got {value!r}")
-    return int(value)
-
-
-def _check_seed(seed) -> int:
-    seed = int(seed)
-    if not (0 <= seed < 2**63):
-        raise DomainError(f"seed must lie in [0, 2^63), got {seed}")
-    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +114,11 @@ class StoppingRule:
     def __post_init__(self):
         v = self.variant
         if v == "ratio":
-            if self.lam is None or not (self.lam > 1.0) or not math.isfinite(self.lam):
-                raise DomainError(f"ratio rule needs lam > 1, got {self.lam}")
+            _check_real("lam", self.lam, 1.0)
         elif v == "drawdown":
-            if self.kappa is None or not (self.kappa > 1.0) or not math.isfinite(self.kappa):
-                raise DomainError(f"drawdown rule needs kappa > 1, got {self.kappa}")
+            _check_real("kappa", self.kappa, 1.0)
         elif v == "fixed_time":
-            if self.t is None or not (self.t >= 0.0) or not math.isfinite(self.t):
-                raise DomainError(f"fixed_time rule needs t >= 0, got {self.t}")
+            _check_real("t", self.t, 0.0, strict=False)
         elif v == "boundary":
             if not isinstance(self.boundary, Boundary):
                 raise DomainError("boundary rule needs a Boundary instance")
@@ -218,11 +200,14 @@ class PathStream:
 
 
 def make_path_stream(seed: int, index: int) -> PathStream:
-    """Streams for path ``index`` under ``seed``; fresh on every call."""
-    seed = _check_seed(seed)
-    index = int(index)
-    if index < 0 or index >= 2**62:
-        raise DomainError(f"path index out of range: {index}")
+    """Streams for path ``index`` under ``seed``; fresh on every call.
+
+    Both are Python or numpy integers, seed in [0, 2^63) and index in
+    [0, 2^62); anything else (a float, a bool, a string) raises DomainError
+    rather than being truncated onto another path's stream.
+    """
+    seed = _check_count("seed", seed, 0, below=2**63)
+    index = _check_count("index", index, 0, below=2**62)
     key_u = np.array([seed, 2 * index], dtype=np.uint64)
     return PathStream(uniform=np.random.Generator(np.random.Philox(key=key_u)),
                       seed=seed, index=index)
@@ -431,8 +416,7 @@ def _first_true(hit):
 def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
     """Check one pass's arguments; return ``run(lo, hi)``, which advances
     the paths [lo, hi) and returns their BatchResult, ``hi - lo`` wide."""
-    if not (x0 > 0.0 and math.isfinite(x0)):
-        raise DomainError(f"need x0 > 0, got {x0}")
+    x0 = _check_real("x0", x0, 0.0)
     n_max = _horizon_steps(horizon, step)
     if scheme not in ("euler", "exact"):
         raise DomainError(f"unknown scheme {scheme!r}")
@@ -441,14 +425,13 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
     rules = list(rules)
     if not rules:
         raise DomainError("need at least one rule")
-    seed = _check_seed(seed)
+    seed = _check_count("seed", seed, 0, below=2**63)
 
     triggers = [_trigger(r, model, step) for r in rules]
     rule_ids = [r.rule_id for r in rules]
 
     # rules that hold at t = 0 (fixed_time(0), a degenerate boundary) fire
     # there on every path with objective 0
-    x0 = float(x0)
     start = np.full(1, x0)
     at0 = np.array([hit(start, start, np.zeros(1, np.int64))[0] for hit in triggers])
 
@@ -590,6 +573,8 @@ def simulate_rules(
 
     The trajectory does not depend on the rules, so evaluating many rules
     in one pass is exactly equivalent to separate runs with the same seed.
+    ``n_paths`` and ``seed`` must be Python or numpy integers: a float such
+    as 2.5 raises DomainError instead of running seed 2's paths.
     """
     run = _engine(model, x0, rules, seed, step, horizon, scheme, bridge)
     return _sharded(run, _check_count("n_paths", n_paths, 1))

@@ -221,6 +221,19 @@ def test_stopped_cdf_general_matches_power_law():
     assert g.stopped_cdf_general(m, b, 1.0, lam * 1.0) == 1.0
 
 
+@pytest.mark.parametrize("x0", [1.0, 3.0])
+def test_ray_stopped_law_holds_below_its_grid(x0):
+    # a ray is evaluated and inverted exactly for every i > 0, so its law
+    # has no cut-off at f(i_grid[0]) = 0.5 lam
+    m = g.make_bessel_model(3.0)
+    lam = g.bessel_lambda(3.0)
+    b = g.line_boundary(m, lam, 0.5, 2.0)
+    ref = g.stopped_cdf(g.make_stopped_distribution(3.0, lam, x0), 0.3 * lam)
+    assert ref > 0.02
+    assert abs(g.stopped_cdf_general(m, b, x0, 0.3 * lam) - ref) < 1e-10
+    assert g.stopped_cdf_general(m, b, x0, 0.0) == 0.0
+
+
 def test_stopped_cdf_general_rejects_nonfinite_inputs():
     m = g.make_bessel_model(3.0)
     b = g.line_boundary(m, g.bessel_lambda(3.0), 0.05, 4.0)

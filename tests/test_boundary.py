@@ -195,6 +195,22 @@ def test_minimal_boundary_warns_when_not_converged():
     assert b.provenance == "minimal-limit(n_shots=1, converged=False)"
 
 
+def test_shot_family_that_drops_raises(monkeypatch):
+    shot = gb._shot
+    starts = []
+
+    def dropping_shot(model, start, i_max, nodes):
+        fg, nfev = shot(model, start, i_max, nodes)
+        starts.append(start)
+        # the second shot lies 1e-3 (relative) below the first
+        return (fg * (1.0 - 1e-3), nfev) if len(starts) == 2 else (fg, nfev)
+
+    monkeypatch.setattr(gb, "_shot", dropping_shot)
+    with pytest.raises(g.ConsistencyError, match=r"not monotone .*\(start i=0\.005\)"):
+        g.minimal_boundary(_m3(), 0.5, 2.0)
+    assert starts == [0.05, 0.005]
+
+
 def test_minimal_boundary_start_validation():
     m = _m3()
     with pytest.raises(g.DomainError, match="n_shots"):

@@ -52,6 +52,15 @@ def test_cev_group_warning_names_its_caller():
     assert w[0].filename == __file__
 
 
+def test_cev_group_rejects_a_horizon_with_no_stops():
+    # at horizon 0.05 every path of both routes is truncated: the KS row
+    # would grade an empty sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(g.DomainError, match=r"horizon=0\.05 stops 0 transformed and 0 direct"):
+            checks.cev_checks(n_paths=64, seed=42, step=1e-2, horizon=0.05)
+
+
 def test_engine_passes_per_check_group(monkeypatch):
     # one Monte Carlo pass per certification group wherever the stream
     # contract makes two passes identical; a split pass shows up here

@@ -1,7 +1,8 @@
 """Every name a module exports must exist: a stale ``__all__`` entry breaks
 ``from goldenstop.x import *`` and every tool that getattr()s the exports.
 The package re-exports its modules' lists by star import, so it must export
-exactly their concatenation, and no name may come from two modules."""
+exactly their concatenation, and no name may come from two modules.
+The source checks below read the benchmark and the package with ``ast``."""
 
 import ast
 import importlib
@@ -84,3 +85,41 @@ def test_benchmark_names_resolve(path):
     missing = [f"{path.name}:{line} {alias or m.__name__}.{attr}"
                for alias, m, attr, line in reads if not hasattr(m, attr)]
     assert not missing, f"benchmark reads names the package no longer has: {missing}"
+
+
+SRC = Path(goldenstop.__file__).resolve().parent
+
+
+def _is_caller_stacklevel(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_caller_stacklevel")
+
+
+def _unnamed_warnings(tree, filename):
+    """file:line of every ``warnings.warn`` whose stacklevel is not
+    ``_caller_stacklevel()``, directly or through a local bound to it in the
+    same function."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        bound = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign) and _is_caller_stacklevel(n.value)
+                 for t in n.targets if isinstance(t, ast.Name)}
+        for n in ast.walk(fn):
+            if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "warn" and isinstance(n.func.value, ast.Name)
+                    and n.func.value.id == "warnings"):
+                continue
+            level = next((k.value for k in n.keywords if k.arg == "stacklevel"), None)
+            if not (_is_caller_stacklevel(level) or (isinstance(level, ast.Name) and level.id in bound)):
+                found.append(f"{filename}:{n.lineno}")
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_warnings_name_the_caller(path):
+    # every warning names the first line outside the package, which only
+    # _caller_stacklevel() finds; a fixed stacklevel names a package line
+    # as soon as the call passes through one more module
+    bad = _unnamed_warnings(ast.parse(path.read_text(), str(path)), path.name)
+    assert not bad, f"warnings.warn without stacklevel=_caller_stacklevel(): {bad}"
