@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionModel, _check_dim, _check_real, _expm1_over, _integrate
+from .diffusion import DiffusionModel, _check_dim, _check_in_domain, _check_real, _expm1_over, _integrate
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -246,11 +246,11 @@ def stopped_cdf_general(model: DiffusionModel, boundary, x0: float, y) -> float:
         P(f(I) <= y) = exp( - int_{f^{-1}(y)}^{x0} L'(z) / (L(f(z)) - L(z)) dz ).
 
     Reduces to the power law of `stopped_cdf` for ray boundaries, which are
-    evaluated and inverted exactly for every i > 0, so a ray's law holds
-    for every y > 0.  A curved boundary is known on its grid only: there
-    the CDF is 0 for y <= f(i_grid[0]).
+    evaluated and inverted exactly, so a ray's law holds for every y > 0
+    with f^{-1}(y) in the model's domain.  A curved boundary is known on its
+    grid only: there the CDF is 0 for y <= f(i_grid[0]).
     """
-    _check_real("x0", x0, 0.0)
+    _check_in_domain(model, "x0", x0)
     y = float(y)
     if not math.isfinite(y):
         raise DomainError("cdf argument must be finite")
@@ -260,6 +260,9 @@ def stopped_cdf_general(model: DiffusionModel, boundary, x0: float, y) -> float:
     if y <= (0.0 if boundary.ratio is not None else boundary.f_grid[0]):
         return 0.0
     z_y = float(boundary.inverse(y))
+    if z_y < model.domain[0]:  # only a ray inverts below its grid
+        raise DomainError(f"y={y:g} needs the scale at f^-1(y)={z_y:g}, below the model's domain "
+                          f"{model.domain}; widen it (x_min, or the table's x range)")
 
     def integrand(z):
         return model.scale_deriv(z) / (model.scale(float(boundary(z))) - model.scale(z))

@@ -444,9 +444,8 @@ def distribution_cmd(ctx, dim, **options):
 @click.option("--check", is_flag=True, default=False,
               help="Run the statistical certification suite instead of a plain "
                    "estimate; exit code 4 if any check fails.  Only --n-paths, "
-                   "--step and --seed apply to the suite; setting --dim, --x0, "
-                   "--rule, --horizon, --scheme or --bridge/--no-bridge with it "
-                   "is a usage error.")
+                   "--step and --seed apply to the suite; setting any other "
+                   "simulate option with it is a usage error.")
 @click.option("--checks", "check_groups", multiple=True,
               help="Run only these groups of the suite (golden-rule, future-min, "
                    "cev); repeatable; implies --check.")

@@ -180,13 +180,9 @@ def _check_real(name, value, bound, strict=True):
     """``value`` (a real or an array of reals) as float(s); DomainError unless
     every entry is finite and above ``bound``, or at it when not ``strict``."""
     try:
-        if isinstance(value, (int, float)):  # Python reals and numpy floats skip numpy's overhead
-            v = float(value)
-            ok = math.isfinite(v) and (v > bound if strict else v >= bound)
-        else:
-            v = np.asarray(value, dtype=float)
-            ok = not isinstance(value, str) and np.all(np.isfinite(v) & (v > bound if strict else v >= bound))
-            v = float(v) if v.ndim == 0 else v
+        v = np.asarray(value, dtype=float)
+        ok = not isinstance(value, str) and np.all(np.isfinite(v) & (v > bound if strict else v >= bound))
+        v = float(v) if v.ndim == 0 else v
     except (TypeError, ValueError):
         ok = False
     if not ok:

@@ -234,6 +234,22 @@ def test_ray_stopped_law_holds_below_its_grid(x0):
     assert g.stopped_cdf_general(m, b, x0, 0.0) == 0.0
 
 
+def test_ray_stopped_law_refuses_y_below_the_model_domain():
+    # a coefficient model knows its scale on [x_min, x_max] only: a ray's law
+    # holds down to lam * x_min and is refused below it, not extrapolated
+    m3 = g.make_bessel_model(3.0)
+    lam = g.bessel_lambda(3.0)
+    m = g.model_from_coefficients(m3.drift, m3.volatility, x_min=0.1, x_max=1e4)
+    b = g.line_boundary(m, lam, 0.5, 2.0)
+    dist = g.make_stopped_distribution(3.0, lam, 1.0)
+    for y in (0.11 * lam, 0.3 * lam):
+        assert abs(g.stopped_cdf_general(m, b, 1.0, y) - g.stopped_cdf(dist, y)) < 1e-10
+    with pytest.raises(g.DomainError, match="below the model's domain"):
+        g.stopped_cdf_general(m, b, 1.0, 0.05 * lam)
+    with pytest.raises(g.DomainError, match="x0=20000.0 outside model domain"):
+        g.stopped_cdf_general(m, b, 2e4, 0.3 * lam)
+
+
 def test_stopped_cdf_general_rejects_nonfinite_inputs():
     m = g.make_bessel_model(3.0)
     b = g.line_boundary(m, g.bessel_lambda(3.0), 0.05, 4.0)
