@@ -181,7 +181,7 @@ def _check_real(name, value, bound, strict=True):
     every entry is finite and above ``bound``, or at it when not ``strict``."""
     try:
         v = np.asarray(value, dtype=float)
-        ok = not isinstance(value, str) and np.all(np.isfinite(v) & (v > bound if strict else v >= bound))
+        ok = not isinstance(value, str) and (np.isfinite(v) & (v > bound if strict else v >= bound)).all()
         v = float(v) if v.ndim == 0 else v
     except (TypeError, ValueError):
         ok = False
