@@ -191,9 +191,9 @@ def _check_real(name, value, bound, strict=True):
 
 
 def _check_in_domain(model, name, value):
-    v = _check_real(name, value, 0.0)
+    v = np.asarray(_check_real(name, value, 0.0))
     lo, hi = model.domain
-    if np.any(v < lo) or np.any(v > hi):
+    if ((v < lo) | (v > hi)).any():
         raise DomainError(f"{name}={value} outside model domain [{lo}, {hi}]")
 
 
