@@ -245,10 +245,14 @@ def stopped_cdf_general(model: DiffusionModel, boundary, x0: float, y) -> float:
 
         P(f(I) <= y) = exp( - int_{f^{-1}(y)}^{x0} L'(z) / (L(f(z)) - L(z)) dz ).
 
+    The integral runs in s = log z, where the integrand z L'(z) / (...)
+    stays bounded as z -> 0 (L'(z) / (...) grows like 1/z on a ray).
     Reduces to the power law of `stopped_cdf` for ray boundaries, which are
     evaluated and inverted exactly, so a ray's law holds for every y > 0
-    with f^{-1}(y) in the model's domain.  A curved boundary is known on its
-    grid only: there the CDF is 0 for y <= f(i_grid[0]).
+    with f^{-1}(y) in the model's domain.  The scale must also be known at
+    f(x0), so f(x0) above the domain raises DomainError too.  A curved
+    boundary is known on its grid only: there the CDF is 0 for
+    y <= f(i_grid[0]).
     """
     _check_in_domain(model, "x0", x0)
     y = float(y)
@@ -263,8 +267,12 @@ def stopped_cdf_general(model: DiffusionModel, boundary, x0: float, y) -> float:
     if z_y < model.domain[0]:  # only a ray inverts below its grid
         raise DomainError(f"y={y:g} needs the scale at f^-1(y)={z_y:g}, below the model's domain "
                           f"{model.domain}; widen it (x_min, or the table's x range)")
+    if f_x0 > model.domain[1]:
+        raise DomainError(f"x0={x0:g} needs the scale at f(x0)={f_x0:g}, above the model's domain "
+                          f"{model.domain}; widen it (x_max, or the table's x range)")
 
-    def integrand(z):
-        return model.scale_deriv(z) / (model.scale(float(boundary(z))) - model.scale(z))
+    def integrand(s):
+        z = math.exp(s)
+        return z * model.scale_deriv(z) / (model.scale(float(boundary(z))) - model.scale(z))
 
-    return float(math.exp(-_integrate(integrand, z_y, x0)))
+    return float(math.exp(-_integrate(integrand, math.log(z_y), math.log(x0))))

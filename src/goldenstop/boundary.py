@@ -28,9 +28,10 @@ The expected remaining cost of an arbitrary increasing boundary f is
 
     V_f(i, x) = - int_x^{f(i)} c(i, y) (L(y) - L(x)) m'(y) dy,   i <= x <= f(i),
 
-zero at and beyond the boundary.  free_boundary_residuals checks the three
-defining conditions (interior ODE in x, smooth fit at f(i), vanishing
-i-derivative on the diagonal) by central differences on that quadrature.
+zero at and beyond the boundary.  It solves the interior ODE in x and fits
+smoothly at f(i) for every f, so of the three free-boundary conditions
+that free_boundary_residuals differences only the vanishing i-derivative
+on the diagonal tests f itself.
 """
 
 from __future__ import annotations
@@ -188,10 +189,14 @@ def line_boundary(
     Evaluation bypasses interpolation, so boundary-rule simulations with a
     ray boundary trigger bit-identically to the corresponding ratio rule.
     The ray must clear the sign-change curve on the whole grid (for Bessel
-    models: lam > 2^(1/(d-2))).
+    models: lam > 2^(1/(d-2))) and stay in the model's domain: lam i_max
+    above it raises DomainError.
     """
     _check_real("lam", lam, 1.0)
     ig, hg = _grid(model, i_min, i_max, n_grid, "i_min", least=4)
+    if lam * ig[-1] > model.domain[1]:
+        raise DomainError(f"the ray {lam:g} i reaches {lam * ig[-1]:g} at i_max={ig[-1]:g}, above the "
+                          f"model's domain {model.domain}; lower i_max or widen the domain (x_max)")
     return Boundary(
         i_grid=ig,
         f_grid=lam * ig,
@@ -451,6 +456,11 @@ def free_boundary_residuals(
     * normal_reflection  d/di of the value formula across the diagonal
                          at (i, i), which vanishes for any solution of the
                          boundary ODE.
+
+    The value formula satisfies the first two for every boundary (V_x(i, f)
+    = 0, and L_X V = -c since (sigma^2/2) L' m' = 1), so pde and smooth_fit
+    measure quadrature and stencil error only; normal_reflection alone
+    tells whether f is the optimal boundary.
 
     Steps are DELTA_SCALE * (1 + coordinate) with DELTA_SCALE = 1e-3, so
     i must exceed 1e-3/(1 - 1e-3).  The quadratures run much tighter than

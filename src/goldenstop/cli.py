@@ -6,13 +6,15 @@ quadrature), `distribution` (stopped-state law), `simulate` (Monte Carlo
 estimates and the statistical check suite), `cev` (drawdown sweeps on the
 price side), `fib` (Fibonacci retracement levels).
 
-Conventions: output goes to stdout, or atomically to --out (temp file in
-the target directory, then rename); reruns with equal arguments produce
-byte-identical output (fixed column order, no timestamps, reals printed
-with 17 significant digits and a "." decimal point).  Exit codes: 0 ok,
-2 invalid arguments or domain errors, 3 numerical failures, 4 statistical
-check failures.  Every option can also be set through environment
-variables with the GOLDENSTOP_ prefix (e.g. GOLDENSTOP_SIMULATE_STEP).
+Conventions: each command builds one document; --format json prints it,
+csv prints named columns of its records (reals to 17 significant digits
+with a "." decimal point, integers as digits, true/false).  Output goes to
+stdout, or atomically to --out (temp file in the target directory, then
+rename); reruns with equal arguments produce byte-identical output (fixed
+column order, no timestamps).  Exit codes: 0 ok, 2 invalid arguments or
+domain errors, 3 numerical failures, 4 statistical check failures.  Every
+option can also be set through environment variables with the GOLDENSTOP_
+prefix (e.g. GOLDENSTOP_SIMULATE_STEP).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .cev import (
     fibonacci_levels,
     retracement_fraction,
 )
-from .checks import run_checks
+from .checks import CHECK_GROUPS, run_checks
 from .diffusion import make_bessel_model
 from .errors import DomainError, NumericalError
 from .simulate import StoppingRule, compare_rules
@@ -56,25 +58,24 @@ from .simulate import StoppingRule, compare_rules
 __all__ = ["dispatch", "main"]
 
 
-_G = "%.17g"
+def _cell(v) -> str:
+    """One CSV cell: true/false for a bool, the digits of an integer (exact
+    past 2^53, where %.17g is not), text as is, any other real to 17
+    significant digits."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, str)):
+        return str(v)
+    return "%.17g" % v
 
 
-def _g(v) -> str:
-    return _G % float(v)
-
-
-def _csv_text(header, rows) -> str:
+def _csv_text(columns, records) -> str:
+    """Header ``columns``, then per record its values under those names."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
+    w.writerow(columns)
+    w.writerows([_cell(r[c]) for c in columns] for r in records)
     return buf.getvalue()
-
-
-def _csv_records(records) -> str:
-    """CSV of equal-keyed dicts of reals: the keys are the header."""
-    return _csv_text(list(records[0]), [[_g(v) for v in r.values()] for r in records])
 
 
 def _json_text(obj) -> str:
@@ -102,11 +103,13 @@ def _write_output(out, text: str) -> None:
 
 
 def dispatch(body, fmt="csv", out=None, **options) -> int:
-    """Run `body(fmt, **options)`, write its text to stdout or atomically to
-    `out`, and return its exit code; domain errors map to 2, numerical
-    failures to 3."""
+    """Run `body(**options)`, which returns (doc, columns, records, code);
+    render `doc` as JSON or, for "csv", the named `columns` of `records`;
+    write the text to stdout or atomically to `out` and return `code`.
+    Domain errors map to 2, numerical failures to 3."""
     try:
-        text, code = body(fmt, **options)
+        doc, columns, records, code = body(**options)
+        text = _json_text(doc) if fmt == "json" else _csv_text(columns, records)
     except (DomainError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
@@ -122,16 +125,21 @@ def dispatch(body, fmt="csv", out=None, **options) -> int:
 
 
 # ---------------------------------------------------------------------------
-# command bodies (pure: format and options in, (text, exit_code) out)
+# command bodies (pure: options in, (doc, columns, records, exit_code) out)
 
 
-def _cmd_lambda(fmt, d):
+def _named(pairs):
+    """Records of a name,value table."""
+    return [{"name": k, "value": v} for k, v in pairs]
+
+
+def _cmd_lambda(d):
     lam = bessel_lambda(d)
     record = {"d": d, "lambda": lam, "residual": abs(float(bessel_characteristic(d, lam)))}
-    return (_json_text(record) if fmt == "json" else _csv_records([record])), 0
+    return record, list(record), [record], 0
 
 
-def _cmd_boundary(fmt, d, i_min, i_max, grid, shots, ray):
+def _cmd_boundary(d, i_min, i_max, grid, shots, ray):
     model = make_bessel_model(d)
     if ray:
         b = line_boundary(model, bessel_lambda(d), i_min, i_max, grid)
@@ -141,12 +149,10 @@ def _cmd_boundary(fmt, d, i_min, i_max, grid, shots, ray):
         {"i": i, "f": f, "h": h, "f_over_i": f / i}
         for i, f, h in zip(b.i_grid, b.f_grid, b.h_grid)
     ]
-    if fmt == "json":
-        return _json_text({"provenance": b.provenance, "rows": rows}), 0
-    return _csv_records(rows), 0
+    return {"provenance": b.provenance, "rows": rows}, ["i", "f", "h", "f_over_i"], rows, 0
 
 
-def _cmd_value(fmt, d, lam, i, x):
+def _cmd_value(d, lam, i, x):
     if lam is None:
         lam = bessel_lambda(d)
     closed = bessel_value(d, lam, i, x)
@@ -164,36 +170,26 @@ def _cmd_value(fmt, d, lam, i, x):
         "value_quadrature": numeric,
         "abs_diff": abs(closed - numeric),
     }
-    return (_json_text(record) if fmt == "json" else _csv_records([record])), 0
+    return record, list(record), [record], 0
 
 
-def _cmd_distribution(fmt, d, lam, x0):
+def _cmd_distribution(d, lam, x0):
     if lam is None:
         lam = bessel_lambda(d)
     dist = make_stopped_distribution(d, lam, x0)
-    qs = [k / 20.0 for k in range(1, 20)]
-    quantiles = {f"{q:.2f}": stopped_quantile(dist, q) for q in qs}
-    if fmt == "json":
-        text = _json_text(
-            {
-                "d": d,
-                "lam": lam,
-                "x0": x0,
-                "exponent": dist.p,
-                "mean": stopped_mean(dist),
-                "upper_support": lam * x0,
-                "quantiles": quantiles,
-            }
-        )
-    else:
-        rows = [
-            ["exponent", _g(dist.p)],
-            ["mean", _g(stopped_mean(dist))],
-            ["upper_support", _g(lam * x0)],
-        ]
-        rows += [[f"q{k}", _g(quantiles[k])] for k in sorted(quantiles)]
-        text = _csv_text(["name", "value"], rows)
-    return text, 0
+    quantiles = {f"{k / 20.0:.2f}": stopped_quantile(dist, k / 20.0) for k in range(1, 20)}
+    doc = {
+        "d": d,
+        "lam": lam,
+        "x0": x0,
+        "exponent": dist.p,
+        "mean": stopped_mean(dist),
+        "upper_support": lam * x0,
+        "quantiles": quantiles,
+    }
+    pairs = [(k, doc[k]) for k in ("exponent", "mean", "upper_support")]
+    pairs += [(f"q{k}", v) for k, v in quantiles.items()]
+    return doc, ["name", "value"], _named(pairs), 0
 
 
 def _parse_rule(text: str, model) -> StoppingRule:
@@ -218,27 +214,15 @@ def _parse_rule(text: str, model) -> StoppingRule:
     )
 
 
-def _check_table(fmt, results):
-    failed = any(not r.passed for r in results)
-    if fmt == "json":
-        text = _json_text({"checks": [r.row() for r in results], "passed": not failed})
-    else:
-        rows = [
-            [r.name, _g(r.value), _g(r.tolerance), "true" if r.passed else "false"]
-            for r in results
-        ]
-        text = _csv_text(["name", "value", "tolerance", "passed"], rows)
-    return text, 4 if failed else 0
-
-
-def _cmd_simulate(fmt, seed, d, x0, rules, n_paths, step, horizon, scheme, bridge,
-                  check, check_groups):
+def _cmd_simulate(seed, d, x0, rules, n_paths, step, check, check_groups, **path):
     if check or check_groups:
         # None leaves the suite's own sample size and step in charge
-        results = run_checks(
+        rows = [r.row() for r in run_checks(
             groups=check_groups or None, n_paths=n_paths, seed=seed, step=step
-        )
-        return _check_table(fmt, results)
+        )]
+        passed = all(r["passed"] for r in rows)
+        doc = {"checks": rows, "passed": passed}
+        return doc, ["name", "value", "tolerance", "passed"], rows, 0 if passed else 4
     model = make_bessel_model(d)
     cmp = compare_rules(
         model,
@@ -247,78 +231,39 @@ def _cmd_simulate(fmt, seed, d, x0, rules, n_paths, step, horizon, scheme, bridg
         n_paths=50_000 if n_paths is None else n_paths,
         seed=seed,
         step=1e-4 if step is None else step,
-        horizon=horizon,
-        scheme=scheme,
-        bridge=bridge,
+        **path,
     )
-    if fmt == "json":
-        text = _json_text({"estimates": cmp.rows()})
-    else:
-        rows = [
-            [e.rule_id, _g(e.mean), _g(e.std_error), str(e.n_paths), str(e.seed), _g(e.step)]
-            for e in cmp.estimates
-        ]
-        text = _csv_text(
-            ["rule_id", "mean", "std_error", "n_paths", "seed", "step"], rows
-        )
-    return text, 0
+    rows = cmp.rows()
+    return {"estimates": rows}, ["rule_id", "mean", "std_error", "n_paths", "seed", "step"], rows, 0
 
 
-def _cmd_cev(fmt, seed, d, c_sigma, z0, kappas, n_paths, step, horizon, scheme, bridge):
+def _cmd_cev(d, c_sigma, z0, kappas, **sampling):
     cev = CevModel(d, c_sigma)
-    kappas = list(kappas) or [2.0, cev_rule_threshold(cev), 4.0]
-    model = make_bessel_model(d)
+    threshold = cev_rule_threshold(cev)
+    kappas = list(kappas) or [2.0, threshold, 4.0]
     x0 = cev_inverse_transform(cev, z0)
     rules = [StoppingRule.drawdown_rule(k) for k in kappas]
-    cmp = compare_rules(
-        model,
-        x0,
-        rules,
-        n_paths=n_paths,
-        seed=seed,
-        step=step,
-        horizon=horizon,
-        scheme=scheme,
-        bridge=bridge,
-    )
-    if fmt == "json":
-        text = _json_text(
-            {
-                "d": d,
-                "c_sigma": c_sigma,
-                "z0": z0,
-                "x0": x0,
-                "threshold": cev_rule_threshold(cev),
-                "retracement": retracement_fraction(),
-                "estimates": [
-                    dict(kappa=k, **e.to_dict())
-                    for k, e in zip(kappas, cmp.estimates)
-                ],
-            }
-        )
-    else:
-        rows = [
-            [_g(k), _g(e.mean), _g(e.std_error)]
-            for k, e in zip(kappas, cmp.estimates)
-        ]
-        text = _csv_text(["kappa", "mean", "std_error"], rows)
-    return text, 0
+    cmp = compare_rules(make_bessel_model(d), x0, rules, **sampling)
+    rows = [dict(kappa=k, **e.to_dict()) for k, e in zip(kappas, cmp.estimates)]
+    doc = {
+        "d": d,
+        "c_sigma": c_sigma,
+        "z0": z0,
+        "x0": x0,
+        "threshold": threshold,
+        "retracement": retracement_fraction(),
+        "estimates": rows,
+    }
+    return doc, ["kappa", "mean", "std_error"], rows, 0
 
 
-def _cmd_fib(fmt, n):
+def _cmd_fib(n):
     levels = fibonacci_levels(n)._asdict()
     limits = dict(zip(levels, (GOLDEN_RATIO**-3, GOLDEN_RATIO**-2, GOLDEN_RATIO**-1)))
-    if fmt == "json":
-        text = _json_text(
-            {"n": n, **levels, "limits": limits, "retracement": retracement_fraction()}
-        )
-    else:
-        rows = [["n", str(n)]]
-        rows += [[k, _g(v)] for k, v in levels.items()]
-        rows += [[f"{k}_limit", _g(v)] for k, v in limits.items()]
-        rows.append(["retracement", _g(retracement_fraction())])
-        text = _csv_text(["name", "value"], rows)
-    return text, 0
+    doc = {"n": n, **levels, "limits": limits, "retracement": retracement_fraction()}
+    pairs = [("n", n), *levels.items(), *((f"{k}_limit", v) for k, v in limits.items()),
+             ("retracement", doc["retracement"])]
+    return doc, ["name", "value"], _named(pairs), 0
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +392,8 @@ def distribution_cmd(ctx, dim, **options):
                    "--step and --seed apply to the suite; setting any other "
                    "simulate option with it is a usage error.")
 @click.option("--checks", "check_groups", multiple=True,
-              help="Run only these groups of the suite (golden-rule, future-min, "
-                   "cev); repeatable; implies --check.")
+              help=f"Run only these groups of the suite ({', '.join(CHECK_GROUPS)}); "
+                   "repeatable; implies --check.")
 @click.pass_context
 def simulate_cmd(ctx, dim, **options):
     """Monte Carlo objective estimates, or the statistical check suite."""

@@ -250,6 +250,29 @@ def test_ray_stopped_law_refuses_y_below_the_model_domain():
         g.stopped_cdf_general(m, b, 2e4, 0.3 * lam)
 
 
+def test_ray_and_its_law_refuse_the_scale_above_the_model_domain():
+    # the scale is known up to x_max only: a ray reaching past it, or a law
+    # whose integral reads L(f(x0)) past it, is refused, not extrapolated
+    m3 = g.make_bessel_model(3.0)
+    m = g.model_from_coefficients(m3.drift, m3.volatility, x_min=0.01, x_max=3.0)
+    with pytest.raises(g.DomainError, match="above the model's domain"):
+        g.line_boundary(m, 2.618, 0.5, 2.0)
+    b = g.line_boundary(m, 2.618, 0.5, 1.0)
+    with pytest.raises(g.DomainError, match=r"f\(x0\)=5.236, above the model's domain"):
+        g.stopped_cdf_general(m, b, 2.0, 0.5 * 2.618)
+    assert abs(g.stopped_cdf_general(m, b, 1.0, 0.5 * 2.618) - 0.32578) < 1e-5
+
+
+@pytest.mark.parametrize("d", [2.5, 3.0, 4.0])
+def test_ray_stopped_law_holds_for_tiny_y(d):
+    # the integral runs in log z, so its integrand stays bounded as y -> 0
+    m = g.make_bessel_model(d)
+    lam = g.bessel_lambda(d)
+    ref = g.stopped_cdf(g.make_stopped_distribution(d, lam, 1.0), 1e-80)
+    got = g.stopped_cdf_general(m, g.line_boundary(m, lam, 0.5, 2.0), 1.0, 1e-80)
+    assert abs(got / ref - 1.0) < 1e-12
+
+
 def test_stopped_cdf_general_rejects_nonfinite_inputs():
     m = g.make_bessel_model(3.0)
     b = g.line_boundary(m, g.bessel_lambda(3.0), 0.05, 4.0)

@@ -279,6 +279,21 @@ def test_residuals_small_on_minimal_boundary():
         assert abs(reflect) < 1e-3, (i, reflect)
 
 
+@pytest.mark.parametrize("lam", [2.2, 2.4])
+def test_only_reflection_tells_a_wrong_ray(lam):
+    # the value formula solves the interior equation and fits smoothly for
+    # every boundary, so pde and smooth_fit stay within their bounds on a
+    # non-optimal ray (criterion 05's ten points); only reflection fails
+    m = _m3()
+    b = g.line_boundary(m, lam, 0.5, 2.0)
+    for i in np.geomspace(0.55, 1.9, 5):
+        i = float(i)
+        for frac in (0.35, 0.7):
+            pde, smooth, reflect = g.free_boundary_residuals(m, b, i, i + frac * (b(i) - i))
+            assert abs(pde) < 1e-4 and abs(smooth) < 1e-3, (i, frac, pde, smooth)
+            assert abs(reflect) >= 0.5, (i, reflect)
+
+
 def test_residuals_guard_near_origin():
     m = _m3()
     b = g.line_boundary(m, g.bessel_lambda(3.0), 1e-5, 1.0)

@@ -1,10 +1,11 @@
-"""CLI contract tests: output text, exit codes, env vars, atomic --out."""
+"""CLI contract tests: output text, exit codes, env vars, atomic --out, README transcripts."""
 
 import csv
 import io
 import json
 import math
 import runpy
+import shlex
 import sys
 import warnings
 from pathlib import Path
@@ -17,6 +18,7 @@ from goldenstop.cli import main
 
 LAM3 = g.bessel_lambda(3.0)
 PACKAGE = Path(g.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _rows(text):
@@ -574,3 +576,94 @@ def test_unknown_subcommand_exit_2():
     res = CliRunner().invoke(main, ["frobnicate"])
     assert res.exit_code == 2
     assert "No such command" in res.stderr
+
+
+def test_seed_prints_exactly_past_2_to_53():
+    # integers print as digits: %.17g would print 2^53 + 1 as ...992
+    seed = 2**53 + 1
+    args = ["--seed", str(seed), "simulate", "--n-paths", "8", "--step", "0.01"]
+    res_csv = CliRunner().invoke(main, args)
+    res_json = CliRunner().invoke(main, ["--format", "json", *args])
+    assert res_csv.exit_code == res_json.exit_code == 0
+    assert _rows(res_csv.output)[1][4] == "9007199254740993"
+    assert json.loads(res_json.output)["estimates"][0]["seed"] == seed
+    assert '"seed": 9007199254740993' in res_json.output
+
+
+def _table_value(doc, name):
+    """The document value that row ``name`` of a name,value table prints."""
+    if name in doc:
+        return doc[name]
+    if name.endswith("_limit"):
+        return doc["limits"][name[: -len("_limit")]]
+    return doc["quantiles"][name[1:]]
+
+
+_AGREEMENT_CASES = [
+    (["lambda", "--dim", "5.5"], lambda doc: [doc]),
+    (["value", "--dim", "4", "--lam", "3", "--i", "0.7", "--x", "1.1"], lambda doc: [doc]),
+    (["boundary", "--ray", "--grid", "17"], lambda doc: doc["rows"]),
+    (["simulate", "--n-paths", "16", "--step", "0.01", "--rule", "ratio", "--rule", "fixed:0.1"],
+     lambda doc: doc["estimates"]),
+    (["cev", "--n-paths", "16", "--step", "0.01"], lambda doc: doc["estimates"]),
+    (["simulate", "--checks", "cev"], lambda doc: doc["checks"]),
+    (["distribution", "--dim", "7", "--x0", "1.3"], None),
+    (["fib", "--n", "40"], None),
+]
+
+
+@pytest.mark.parametrize("args, records", _AGREEMENT_CASES,
+                         ids=[" ".join(args) for args, _ in _AGREEMENT_CASES])
+def test_csv_cells_print_the_json_values(monkeypatch, args, records):
+    checks = [g.CheckResult("a", 0.5, 1.0, True, "ok"), g.CheckResult("b", 3.0, 2.0, False, "bad")]
+    monkeypatch.setattr("goldenstop.cli.run_checks", lambda **kw: checks)
+    res_csv, res_json = (CliRunner().invoke(main, ["--format", fmt, *args]) for fmt in ("csv", "json"))
+    assert res_csv.exit_code == res_json.exit_code
+    header, *rows = _rows(res_csv.output)
+    doc = json.loads(res_json.output)
+    if records is None:
+        assert header == ["name", "value"]
+        expected = [{"name": name, "value": _table_value(doc, name)} for name, _ in rows]
+    else:
+        expected = records(doc)
+    assert len(rows) == len(expected) > 0
+    for row, record in zip(rows, expected):
+        assert len(row) == len(header)
+        for column, cell in zip(header, row):
+            v = record[column]
+            if isinstance(v, bool):
+                assert cell == ("true" if v else "false"), column
+            elif isinstance(v, (int, str)):
+                assert cell == str(v), column
+            else:
+                assert float(cell) == v, column
+
+
+def _readme_transcripts():
+    """(arguments, printed lines) of every `$ goldenstop ...` transcript in
+    README's Command line section that shows its output; a trailing
+    ``...`` line cuts the printed lines short."""
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    out = []
+    for block in section.split("```")[1::2]:
+        for chunk in block.split("$ goldenstop ")[1:]:
+            command, *lines = chunk.rstrip("\n").split("\n")
+            while lines and not lines[-1]:
+                lines.pop()
+            if lines:
+                out.append((shlex.split(command), lines))
+    return out
+
+
+_TRANSCRIPTS = _readme_transcripts()
+
+
+@pytest.mark.parametrize("args, lines", _TRANSCRIPTS, ids=[" ".join(a) for a, _ in _TRANSCRIPTS])
+def test_readme_transcripts_print_what_they_show(args, lines):
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, res.stderr
+    printed = res.output.splitlines()
+    if lines[-1] == "...":
+        lines = lines[:-1]
+        printed = printed[: len(lines)]
+    assert printed == lines
