@@ -181,22 +181,24 @@ def direct_stopped_samples(
         out = SimpleNamespace(z=np.empty(hi - lo), trunc=np.zeros(hi - lo, dtype=bool),
                               blowup=np.zeros(hi - lo, dtype=np.int64))
         for ln in _lane_blocks(seed, lo, hi, n_max, dict(Z=z0, S=z0)):
-            Z, S = np.empty((2, ln.steps + 1, ln.index.size))
-            Z[0], S[0] = ln.state["Z"], ln.state["S"]
-            for k in range(ln.steps):
-                Zk = Z[k]
-                np.maximum(Zk + sigma * Zk ** p * sqdt * ln.z[k], CEV_FLOOR, out=Z[k + 1])
-                np.maximum(S[k], Z[k + 1], out=S[k + 1])
-            Z, S = Z[1:], S[1:]
-            cols, rows = _first_true((S >= kappa * Z) | ~np.isfinite(Z))
-            ids = ln.index[cols] - lo
-            out.z[ids] = Z[rows, cols]
-            out.blowup[ids] = np.where(np.isfinite(out.z[ids]), 0, ln.t[rows, cols])
-            ln.done[cols] = True
+            for k0, k1 in ln.groups:
+                z = ln.z(k0, k1)
+                Z, S = np.empty((2, k1 - k0 + 1, ln.index.size))
+                Z[0], S[0] = ln.state["Z"], ln.state["S"]
+                for k in range(k1 - k0):
+                    Zk = Z[k]
+                    np.maximum(Zk + sigma * Zk ** p * sqdt * z[k], CEV_FLOOR, out=Z[k + 1])
+                    np.maximum(S[k], Z[k + 1], out=S[k + 1])
+                Z, S = Z[1:], S[1:]
+                cols, rows = _first_true(((S >= kappa * Z) | ~np.isfinite(Z)) & ~ln.done)
+                ids = ln.index[cols] - lo
+                out.z[ids] = Z[rows, cols]
+                out.blowup[ids] = np.where(np.isfinite(out.z[ids]), 0, ln.t(k0, k1)[rows, cols])
+                ln.done[cols] = True
+                ln.state.update(Z=Z[-1], S=S[-1])
             last = ~ln.done & (ln.offset + ln.steps == n_max)
             out.z[ln.index[last] - lo] = Z[-1, last]
             out.trunc[ln.index[last] - lo] = True
-            ln.state.update(Z=Z[-1].copy(), S=S[-1].copy())
         return out
 
     out = _sharded(run, n_paths)

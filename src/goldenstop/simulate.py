@@ -21,13 +21,14 @@ reproduces path k of a batch run exactly.
 Lanes
 -----
 The engine runs paths on up to _LANE_WIDTH = 8,192 lanes in blocks of
-_BLOCK_STEPS = 256 steps.  Inside a block a lane only advances its state;
-the first trigger of every pending rule is then found over the block's
-history at once.  At each block boundary the lanes whose rules have all
-fired, or that reached the horizon, retire and the next path indices take
-their places, each lane keeping its own step offset.  A run therefore has
-one straggler tail, and by the contract above neither constant changes
-any result.
+_BLOCK_STEPS = 256 steps, the unit of refill and of the uniform fill: at
+each block boundary the lanes whose rules have all fired, or that reached
+the horizon, retire, the next path indices take their places (each lane
+keeping its own step offset), and every lane draws the block's uniforms.
+The block is then transformed, stepped and scanned for each pending rule's
+first trigger in cache-sized groups of _GROUP_STEPS = 16 full-width rows
+(more rows on fewer lanes).  A run therefore has one straggler tail, and
+by the contract above none of the three constants changes any result.
 
 Shards
 ------
@@ -307,9 +308,10 @@ class BatchResult:
 
 # a narrower shard costs more in fork round trip and straggler tail than it saves
 _MIN_SHARD_PATHS = 1024
-# lanes stepped side by side, and steps per block between lane refills
+# lanes side by side, steps per block between refills, steps per full-width group
 _LANE_WIDTH = 8192
 _BLOCK_STEPS = 256
+_GROUP_STEPS = 16
 
 
 def _shards(n_paths, cpus):
@@ -366,17 +368,27 @@ def _lane_blocks(seed, lo, hi, n_max, init):
     Up to ``_LANE_WIDTH`` lanes run the paths [lo, hi) side by side.  A lane
     is one path: its index, streams, step offset and state arrays (one per
     name in ``init``, lane axis last, admitted at the ``init`` value).  Each
-    yield is one block of ``steps`` <= ``_BLOCK_STEPS`` steps with its draws
-    made: ``z`` and ``u`` are (steps, lanes) arrays of each step's normal
-    increment and floored bridge uniform, and ``t`` the step index each row
-    reaches.  The caller advances ``state`` and marks ``done`` the lanes it
-    has finished; at the next boundary those and the lanes that reached
-    ``n_max`` retire and new paths take their places.
+    yield is one block of ``steps`` <= ``_BLOCK_STEPS`` steps, its uniforms
+    drawn, in row ranges ``groups``: ``z(k0, k1)`` and ``u(k0, k1)`` are the
+    (rows, lanes) normal increments and floored bridge uniforms of rows
+    [k0, k1), and ``t(k0, k1)`` the step index each row reaches.  The caller
+    advances ``state`` and marks ``done`` the lanes it has finished; at the
+    next boundary those and the lanes that reached ``n_max`` retire and new
+    paths take their places.
     """
+    U = None  # the block's uniforms: per lane, two per step
+
+    def floored(parity, k0, k1):
+        rows = U[:, 2 * k0 + parity:2 * k1:2].T
+        return np.maximum(rows, _U_FLOOR, out=np.empty(rows.shape))
+
     col = {k: np.asarray(v)[..., None] for k, v in init.items()}
     ln = SimpleNamespace(index=np.zeros(0, dtype=np.int64), offset=np.zeros(0, dtype=np.int64),
                          streams=[], done=np.zeros(0, dtype=bool),
-                         state={k: c[..., :0] for k, c in col.items()})
+                         state={k: c[..., :0] for k, c in col.items()},
+                         z=lambda k0, k1: ndtri(floored(0, k0, k1)),
+                         u=lambda k0, k1: floored(1, k0, k1),
+                         t=lambda k0, k1: ln.offset + np.arange(k0 + 1, k1 + 1)[:, None])
     admitted = lo
     while True:
         keep = ~ln.done & (ln.offset < n_max)
@@ -393,16 +405,15 @@ def _lane_blocks(seed, lo, hi, n_max, init):
             return
         # no lane steps past n_max: the block ends where the oldest lane's run does
         ln.steps = B = min(_BLOCK_STEPS, n_max - int(ln.offset.max()))
-        ln.z = ln.u = ln.t = None
+        # a group spans as many cells as _GROUP_STEPS rows of a full-width block
+        span = _GROUP_STEPS * _LANE_WIDTH // m
+        ln.groups = [(k0, min(k0 + span, B)) for k0 in range(0, B, span)]
         U = np.empty((m, 2 * B))
         for r, st in enumerate(ln.streams):
             st.uniform.random(out=U[r])
-        ln.z = ndtri(np.maximum(U[:, 0::2].T, _U_FLOOR, out=np.empty((B, m))))
-        ln.u = np.maximum(U[:, 1::2].T, _U_FLOOR, out=np.empty((B, m)))
-        del U
-        ln.t = ln.offset + np.arange(1, B + 1)[:, None]
         ln.done = np.zeros(m, dtype=bool)
         yield ln
+        U = None  # released before the next block's fill
         ln.offset += B
 
 
@@ -457,102 +468,111 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
         res.x_stop[at0] = res.i_stop[at0] = x0
         if at0.all():
             return res
+
+        def record(j, cols, rows, truncated):
+            if not cols.size:
+                return
+            ids = ln.index[cols] - lo
+            res.stop_step[j, ids] = t[rows, cols]
+            res.x_stop[j, ids] = Xn[rows, cols]
+            res.i_stop[j, ids] = I[rows, cols]
+            res.objective[j, ids] = obj[rows, cols]
+            res.theta_step[j, ids] = theta[rows, cols]
+            res.truncated[j, ids] = truncated
+            pending[j, cols] = False
+
         for ln in _lane_blocks(seed, lo, hi, n_max, init):
             B, m, st = ln.steps, ln.index.size, ln.state
             res.path_steps_stepped += m * B
-
-            # the block: state update only, one history row per step
-            X = np.empty((B + 1, m))
-            X[0] = st["X"]
-            SZ, VOL = (sqdt * ln.z, None) if is_bessel else (None, np.empty((B, m)))
-            if scheme == "exact":
-                G = np.array([ps.gamma.random(B) for ps in ln.streams]).T
-                for k in range(B):
-                    X[k + 1] = bessel_step(X[k], SZ[k], G[k])
-            elif is_bessel:
-                for k in range(B):
-                    a = X[k]
-                    Xn = a + drift_num / a * step + SZ[k]
-                    guarded = a < x_guard
-                    if guarded.any():
-                        rows = np.nonzero(guarded)[0]
-                        gu = np.array([ln.streams[r].gamma.random() for r in rows])
-                        Xn[rows] = bessel_step(a[rows], SZ[k, rows], gu)
-                    np.maximum(Xn, EULER_FLOOR, out=X[k + 1])
-            else:
-                for k in range(B):
-                    a = X[k]
-                    mu = np.asarray(model.drift(a), dtype=float)
-                    VOL[k] = sg = np.asarray(model.volatility(a), dtype=float)
-                    np.maximum(a + mu * step + sg * sqdt * ln.z[k], EULER_FLOOR, out=X[k + 1])
-
-            # running minimum (bridge-sharpened), its time, the objective
-            a, Xn = X[:-1], X[1:]
-            new_min = np.minimum(a, Xn)
-            if bridge:
-                sg2 = 1.0 if is_bessel else VOL**2
-                arg = (a - Xn) ** 2 - (2.0 * step) * sg2 * np.log(ln.u)
-                mb = np.maximum(0.5 * ((a + Xn) - np.sqrt(arg)), EULER_FLOOR)
-                # near the origin the interpolating bridge is not Brownian;
-                # keep endpoint monitoring there
-                new_min = np.where(new_min < x_guard, new_min, mb) if is_bessel else mb
-            # (row loops: numpy's accumulate along axis 0 is ~10x slower)
-            I = np.vstack([st["I"], new_min])
-            for k in range(B):
-                np.minimum(I[k], I[k + 1], out=I[k + 1])
-            theta = np.vstack([st["theta"], (new_min < I[:-1]) * ln.t])
-            I = I[1:]
-            if is_bessel:
-                r = I / Xn
-                c = 1.0 - 2.0 * (r if nu == 1.0 else r**nu)
-            else:
-                sx, si = (np.asarray(model.scale(v.ravel()), dtype=float) for v in (Xn, I))
-                c = (1.0 - 2.0 * sx / si).reshape(Xn.shape)
-            obj = np.vstack([st["obj"], (0.5 * step) * (np.vstack([st["cprev"], c[:-1]]) + c)])
-            for k in range(B):
-                np.add(obj[k], obj[k + 1], out=obj[k + 1])
-                np.maximum(theta[k], theta[k + 1], out=theta[k + 1])
-            obj, theta = obj[1:], theta[1:]
-
-            # each pending rule's first trigger in the block, then the horizon
             pending = st["pending"]
+            G = np.array([ps.gamma.random(B) for ps in ln.streams]).T if scheme == "exact" else None
+            bad = np.full(m, n_max + 1)  # each lane's first failed Euler step in the block
 
-            def record(j, cols, rows, truncated):
-                ids = ln.index[cols] - lo
-                res.stop_step[j, ids] = ln.t[rows, cols]
-                res.x_stop[j, ids] = Xn[rows, cols]
-                res.i_stop[j, ids] = I[rows, cols]
-                res.objective[j, ids] = obj[rows, cols]
-                res.theta_step[j, ids] = theta[rows, cols]
-                res.truncated[j, ids] = truncated
-                pending[j, cols] = False
+            for k0, k1 in ln.groups:
+                n, t = k1 - k0, ln.t(k0, k1)
+                # the group's steps: state update only, one history row per step
+                X = np.empty((n + 1, m))
+                X[0] = st["X"]
+                z = ln.z(k0, k1)
+                SZ, VOL = (sqdt * z, None) if is_bessel else (None, np.empty((n, m)))
+                if scheme == "exact":
+                    for k in range(n):
+                        X[k + 1] = bessel_step(X[k], SZ[k], G[k0 + k])
+                elif is_bessel:
+                    for k in range(n):
+                        a = X[k]
+                        Xn = a + drift_num / a * step + SZ[k]
+                        guarded = a < x_guard
+                        if guarded.any():
+                            rows = np.nonzero(guarded)[0]
+                            gu = np.array([ln.streams[r].gamma.random() for r in rows])
+                            Xn[rows] = bessel_step(a[rows], SZ[k, rows], gu)
+                        np.maximum(Xn, EULER_FLOOR, out=X[k + 1])
+                else:
+                    for k in range(n):
+                        a = X[k]
+                        mu = np.asarray(model.drift(a), dtype=float)
+                        VOL[k] = sg = np.asarray(model.volatility(a), dtype=float)
+                        np.maximum(a + mu * step + sg * sqdt * z[k], EULER_FLOOR, out=X[k + 1])
 
-            for j in np.nonzero(pending.any(axis=1))[0]:
-                hit = triggers[j](Xn, I, ln.t)
-                hit &= pending[j]
-                record(j, *_first_true(hit), False)
+                # running minimum (bridge-sharpened), its time, the objective
+                a, Xn = X[:-1], X[1:]
+                new_min = np.minimum(a, Xn)
+                if bridge:
+                    sg2 = 1.0 if is_bessel else VOL**2
+                    arg = (a - Xn) ** 2 - (2.0 * step) * sg2 * np.log(ln.u(k0, k1))
+                    mb = np.maximum(0.5 * ((a + Xn) - np.sqrt(arg)), EULER_FLOOR)
+                    # near the origin the interpolating bridge is not Brownian;
+                    # keep endpoint monitoring there
+                    new_min = np.where(new_min < x_guard, new_min, mb) if is_bessel else mb
+                # (row loops: numpy's accumulate along axis 0 is ~10x slower)
+                I = np.vstack([st["I"], new_min])
+                for k in range(n):
+                    np.minimum(I[k], I[k + 1], out=I[k + 1])
+                theta = np.vstack([st["theta"], (new_min < I[:-1]) * t])
+                I = I[1:]
+                if is_bessel:
+                    r = I / Xn
+                    c = 1.0 - 2.0 * (r if nu == 1.0 else r**nu)
+                else:
+                    sx, si = (np.asarray(model.scale(v.ravel()), dtype=float) for v in (Xn, I))
+                    c = (1.0 - 2.0 * sx / si).reshape(Xn.shape)
+                obj = np.vstack([st["obj"], (0.5 * step) * (np.vstack([st["cprev"], c[:-1]]) + c)])
+                for k in range(n):
+                    np.add(obj[k], obj[k + 1], out=obj[k + 1])
+                    np.maximum(theta[k], theta[k + 1], out=theta[k + 1])
+                obj, theta = obj[1:], theta[1:]
+
+                # each pending rule's first trigger in the group
+                for j in np.nonzero(pending.any(axis=1))[0]:
+                    hit = triggers[j](Xn, I, t)
+                    hit &= pending[j]
+                    record(j, *_first_true(hit), False)
+                if not is_bessel:
+                    bad = np.minimum(bad, np.where(Xn <= EULER_FLOOR, t, n_max + 1).min(axis=0))
+                st.update(X=Xn[-1], I=I[-1], obj=obj[-1], cprev=c[-1], theta=theta[-1])
+
+            # the lanes still pending at the horizon stop at the block's last row
             at_h = ln.offset + B == n_max
             for j, row in enumerate(pending & at_h):
-                record(j, np.nonzero(row)[0], B - 1, True)
+                record(j, np.nonzero(row)[0], n - 1, True)
 
             # a failed Euler step counts only on a lane still live at that step.
             # Bessel lanes cannot fail: a guarded lane takes the exact substep,
             # an unguarded one starts at a >= 8.5 sqrt(step) with drift > 0 and
             # z >= ndtri(_U_FLOOR) = -8.21, so it lands above 0.29 sqrt(step),
             # which exceeds EULER_FLOOR for any step > 1.2e-23
-            if scheme == "euler" and not is_bessel:
-                cols, rows = _first_true(Xn <= EULER_FLOOR)
-                t_bad, p_bad = ln.t[rows, cols], ln.index[cols]
-                last = res.stop_step[:, p_bad - lo].max(axis=0)
-                live = np.nonzero(pending[:, cols].any(axis=0) | (t_bad <= last))[0]
-                if live.size:
-                    e = live[np.lexsort((p_bad[live], t_bad[live]))[0]]
-                    raise SchemeError(f"Euler step drove path {p_bad[e]} to X <= {EULER_FLOOR:g} "
-                                      f"at t={t_bad[e] * step:g}; reduce step")
+            cols = np.nonzero(bad <= n_max)[0]
+            t_bad, p_bad = bad[cols], ln.index[cols]
+            last = res.stop_step[:, p_bad - lo].max(axis=0)
+            live = np.nonzero(pending[:, cols].any(axis=0) | (t_bad <= last))[0]
+            if live.size:
+                e = live[np.lexsort((p_bad[live], t_bad[live]))[0]]
+                raise SchemeError(f"Euler step drove path {p_bad[e]} to X <= {EULER_FLOOR:g} "
+                                  f"at t={t_bad[e] * step:g}; reduce step")
 
             ln.done = ~pending.any(axis=0)
-            st.update(X=Xn[-1].copy(), I=I[-1].copy(), obj=obj[-1].copy(),
-                      cprev=c[-1].copy(), theta=theta[-1].copy())
+            G = None  # released before the next block's fill
         return res
 
     return run

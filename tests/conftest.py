@@ -1,6 +1,7 @@
 """Tier-1 footprint: engine passes, path-steps stepped and consumed, solver
 quadratures, boundary shot solves and their right-hand-side evaluations,
-source lines, public names and defaulted public parameters.
+source lines, public names and defaulted public parameters, and the peak
+resident memory of the test process and of its forked shard workers.
 
 Every Monte Carlo pass runs through ``simulate._sharded`` (``cev`` imports
 the same function), so a session-wide wrapper in both modules counts the
@@ -14,11 +15,14 @@ A wrapper of ``boundary.solve_ivp`` counts the ODE solves of the boundary
 shots and sums the ``nfev`` of their results.  The totals, the line count
 of ``src/goldenstop/*.py``, ``len(goldenstop.__all__)`` and the number of
 defaulted parameters of the functions in ``goldenstop.__all__`` (classes
-not counted) are printed as one line at the end of the run; no test reads
-them.
+not counted) are printed as one line at the end of the run, with the
+``ru_maxrss`` of ``RUSAGE_SELF`` and of ``RUSAGE_CHILDREN`` (the largest
+forked shard worker, as no test starts another process; Linux reports
+kilobytes); no test reads them.
 """
 
 import inspect
+import resource
 from pathlib import Path
 
 import pytest
@@ -65,6 +69,8 @@ def pytest_terminal_summary(terminalreporter):
 
     lines = sum(p.read_bytes().count(b"\n") for p in SRC.glob("*.py"))
     public = [getattr(goldenstop, name) for name in goldenstop.__all__]
+    rss_self, rss_workers = (resource.getrusage(who).ru_maxrss / 1024
+                             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     knobs = sum(p.default is not p.empty for f in public if inspect.isfunction(f)
                 for p in inspect.signature(f).parameters.values())
     terminalreporter.write_line(
@@ -75,5 +81,7 @@ def pytest_terminal_summary(terminalreporter):
         f"{footprint['solves']:,} shot solves ({footprint['nfev']:,} rhs evaluations), "
         f"{lines:,} lines in src/goldenstop/*.py, "
         f"{len(goldenstop.__all__)} public names, "
-        f"{knobs} defaulted public parameters"
+        f"{knobs} defaulted public parameters, "
+        f"peak RSS {rss_self:.0f} MB (test process), "
+        f"{rss_workers:.0f} MB (largest shard worker)"
     )

@@ -7,9 +7,11 @@ engine bit for bit.  Statistical tests at reduced scale back up the
 full-size runs exercised by the acceptance suite.
 """
 
+import functools
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -207,37 +209,47 @@ def test_simulate_path_matches_custom_model_rows(custom3):
     assert np.all(res.stop_step[1] == 30) and res.stop_step[0].max() > 30
 
 
-def _lanes(width, blocks, *args, **kwargs):
-    """simulate_rules with the engine's lane width and block length replaced."""
+def _lanes(width, blocks, groups, *args, run=simulate_rules, **kwargs):
+    """``run`` (simulate_rules by default) with the engine's lane width, block
+    length and group length replaced."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_LANE_WIDTH", width)
         mp.setattr(simulate, "_BLOCK_STEPS", blocks)
-        return simulate_rules(*args, **kwargs)
+        mp.setattr(simulate, "_GROUP_STEPS", groups)
+        return run(*args, **kwargs)
 
 
-def test_chunk_and_block_invariance():
-    """The lane width and block length must not change any recorded value."""
+def test_chunk_and_block_invariance(custom3):
+    """The lane width, block length and group length must not change any
+    recorded value."""
     model = g.make_bessel_model(3.0)
     rules = [g.StoppingRule.ratio_rule(LAM3), g.StoppingRule.fixed_time_rule(0.5)]
     kw = dict(seed=19, step=1e-3, horizon=3.0)
     base = simulate_rules(model, 1.0, rules, 40, **kw)
-    tiny = _lanes(7, 11, model, 1.0, rules, 40, **kw)
-    wide = _lanes(1000, 4096, model, 1.0, rules, 40, **kw)
+    tiny = _lanes(7, 11, 16, model, 1.0, rules, 40, **kw)
+    wide = _lanes(1000, 4096, 16, model, 1.0, rules, 40, **kw)
     pairs = [(base, tiny), (base, wide)]
 
-    # 7 lanes for 40 paths: retired lanes are refilled at every boundary
+    # 7 lanes for 40 paths: retired lanes are refilled at every boundary.
+    # Groups of 1 row, of 7 rows (which divides neither block length) and
+    # of a whole block
     pchip = g.minimal_boundary(model, 0.5, 2.0)
     assert pchip.ratio is None
     cases = [
-        (1.0, rules, dict(scheme="exact")),
-        (1.0, [g.StoppingRule.boundary_rule(pchip)], {}),
-        (2.0, [_DipProbe(level=1.0)], {}),
-        (2.0, [_DipProbe(level=1.0, exit=3.0)], {}),
+        (model, 1.0, rules, {}),
+        (model, 1.0, rules, dict(scheme="exact")),
+        (model, 1.0, [g.StoppingRule.boundary_rule(pchip)], {}),
+        (custom3, 1.0, rules, {}),
+        (model, 2.0, [_DipProbe(level=1.0)], {}),
+        (model, 2.0, [_DipProbe(level=1.0, exit=3.0)], {}),
     ]
-    for x0, case_rules, extra in cases:
-        ref = simulate_rules(model, x0, case_rules, 40, **kw, **extra)
-        for blocks in (11, 256):
-            pairs.append((ref, _lanes(7, blocks, model, x0, case_rules, 40, **kw, **extra)))
+    for case_model, x0, case_rules, extra in cases:
+        ref = simulate_rules(case_model, x0, case_rules, 40, **kw, **extra)
+        for blocks, groups in ((11, (1, 7)), (256, (7, 256))):
+            runs = [_lanes(7, blocks, n, case_model, x0, case_rules, 40, **kw, **extra)
+                    for n in groups]
+            assert runs[0].path_steps_stepped == runs[1].path_steps_stepped
+            pairs += [(ref, other) for other in runs]
 
     # the two-sided probe retires lanes at both ends and at the horizon,
     # and each of its rows replays one path at a time
@@ -252,6 +264,37 @@ def test_chunk_and_block_invariance():
         assert np.array_equal(base.objective, other.objective)
         assert np.array_equal(base.theta_step, other.theta_step)
         assert np.array_equal(base.truncated, other.truncated)
+
+
+def test_direct_cev_route_group_invariance():
+    """The direct CEV route advances and stops its lanes group by group too;
+    its sample and truncation count do not depend on the group length."""
+    cev = g.CevModel(d=3.0, c_sigma=1.0)
+    kw = dict(n_paths=40, seed=21, step=1e-2, horizon=0.3)
+    out = []
+    for groups in (16, 1, 7):
+        with pytest.warns(UserWarning, match="hit the horizon"):
+            out.append(_lanes(7, 11, groups, cev, 1.0, 2.0, run=g.direct_stopped_samples, **kw))
+    (z, n_trunc), others = out[0], out[1:]
+    assert 0 < n_trunc < 40 and z.size == 40 - n_trunc
+    for z_other, n_other in others:
+        assert np.array_equal(z, z_other) and n_other == n_trunc
+
+
+def test_block_temporaries_are_group_sized():
+    """One serial full-width pass of four blocks traces at most 96 MiB: the
+    block's uniforms (32 MiB) plus temporaries the size of one group.  With
+    temporaries the size of a block the same pass traces about 249 MiB."""
+    rules = [g.StoppingRule.ratio_rule(lam) for lam in (1.8, 2.1, LAM3, 3.3, 4.0)]
+    run = simulate._engine(g.make_bessel_model(3.0), 1.0, rules, 1, 1e-3, 1.024, "euler", True)
+    tracemalloc.start()
+    try:
+        res = run(0, 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.stop_step.max() == 1024 and res.truncated.any()
+    assert peak <= 96 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_ray_boundary_rule_matches_ratio_rule():
@@ -436,22 +479,26 @@ def test_scheme_error_on_crossing_zero():
 
 def test_scheme_error_only_on_live_lanes():
     # every path crosses zero between t = 0.03 and t = 0.04; a rule that
-    # retired the lane at t = 0.01 never sees that step
+    # retired the lane at t = 0.01 never sees that step, also when the
+    # failing step falls in a later group of the block (groups of 1 and 3)
     model = _plunging_model()
     kw = dict(seed=2, step=0.01, horizon=1.0)
-    res = simulate_rules(model, 2.0, [g.StoppingRule.fixed_time_rule(0.01)], 4, **kw)
-    assert np.all(res.stop_step[0] == 1)
-    with pytest.raises(g.SchemeError) as err:
-        simulate_rules(model, 2.0, [g.StoppingRule.fixed_time_rule(0.05)], 4, **kw)
-    msg = str(err.value)
-    assert "path 0" in msg and "t=0.04" in msg and "reduce step" in msg
+    for groups in (None, 1, 3):
+        run = simulate_rules if groups is None else functools.partial(_lanes, 4, 256, groups)
+        res = run(model, 2.0, [g.StoppingRule.fixed_time_rule(0.01)], 4, **kw)
+        assert np.all(res.stop_step[0] == 1)
+        with pytest.raises(g.SchemeError) as err:
+            run(model, 2.0, [g.StoppingRule.fixed_time_rule(0.05)], 4, **kw)
+        msg = str(err.value)
+        assert "path 0" in msg and "t=0.04" in msg and "reduce step" in msg
 
 
 def test_stepped_path_steps_waste_below_one_block():
     model = g.make_bessel_model(3.0)
     rules = [g.StoppingRule.ratio_rule(2.1), g.StoppingRule.ratio_rule(LAM3)]
     for n_paths, width, blocks in ((40, 7, 16), (300, 64, 256), (50, 8192, 256)):
-        res = _lanes(width, blocks, model, 1.0, rules, n_paths, seed=3, step=1e-3, horizon=10.0)
+        res = _lanes(width, blocks, simulate._GROUP_STEPS, model, 1.0, rules, n_paths,
+                     seed=3, step=1e-3, horizon=10.0)
         consumed = int(res.stop_step.max(axis=0).sum())
         assert consumed <= res.path_steps_stepped < consumed + n_paths * blocks
 
