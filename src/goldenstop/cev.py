@@ -179,7 +179,7 @@ def direct_stopped_samples(
     def run(lo, hi):
         # stopped price, horizon reached, step at which Z overflowed (0: never)
         out = SimpleNamespace(z=np.empty(hi - lo), trunc=np.zeros(hi - lo, dtype=bool),
-                              blowup=np.zeros(hi - lo, dtype=np.int64))
+                              blowup=np.zeros(hi - lo, dtype=np.int64), shards=1)
         for ln in _lane_blocks(seed, lo, hi, n_max, dict(Z=z0, S=z0)):
             for k0, k1 in ln.groups:
                 z = ln.z(k0, k1)
@@ -201,7 +201,7 @@ def direct_stopped_samples(
             out.trunc[ln.index[last] - lo] = True
         return out
 
-    out = _sharded(run, n_paths)
+    out = _sharded(run, n_paths, n_max)
     n_trunc = int(out.trunc.sum())
     if n_trunc > 0.01 * n_paths:
         warnings.warn(

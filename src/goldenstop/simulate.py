@@ -32,12 +32,17 @@ by the contract above none of the three constants changes any result.
 
 Shards
 ------
-A pass of 2,048 paths or more runs as contiguous path-index shards
-[lo, hi) of at least 1,024 paths, one per usable CPU: the first in the
+A pass runs as contiguous path-index shards [lo, hi), one per usable CPU,
+as long as each shard keeps at least _MIN_SHARD_PATH_STEPS = 2^20
+path-steps of the pass's bound (its paths times its step bound n_max):
+one fork round trip costs about 20 ms on a 2-core Intel Xeon VM (a
+trivial 1,000-path pass took 24 ms serial and 40-47 ms sharded), so a
+smaller shard saves less than it costs.  The first shard runs in the
 calling process, the others in workers forked from it (none without the
 ``fork`` start method, or while the caller runs other threads).  The
 per-path outputs are merged in path order, so by the contract above the
-pass is bit-identical to a serial one.
+pass is bit-identical to a serial one; ``BatchResult.shards`` counts the
+shards that ran it.
 
 Rules
 -----
@@ -293,6 +298,7 @@ class BatchResult:
 
     ``path_steps_stepped`` counts lane-steps advanced; the rules consumed
     the per-path maximum of ``stop_step``, the rest is block-tail waste.
+    ``shards`` is the number of path-index shards that ran the pass.
     """
 
     def __init__(self, n_rules: int, n_paths: int):
@@ -304,19 +310,22 @@ class BatchResult:
         self.theta_step = np.zeros(shape, dtype=np.int64)
         self.truncated = np.zeros(shape, dtype=bool)
         self.path_steps_stepped = 0
+        self.shards = 1
 
 
-# a narrower shard costs more in fork round trip and straggler tail than it saves
-_MIN_SHARD_PATHS = 1024
+# a shard with less bound saves less than its ~20 ms fork round trip costs
+_MIN_SHARD_PATH_STEPS = 2**20
 # lanes side by side, steps per block between refills, steps per full-width group
 _LANE_WIDTH = 8192
 _BLOCK_STEPS = 256
 _GROUP_STEPS = 16
 
 
-def _shards(n_paths, cpus):
-    """[lo, hi) ranges tiling [0, n_paths): one per CPU, none below the minimum."""
-    k = max(1, min(cpus, n_paths // _MIN_SHARD_PATHS))
+def _shards(n_paths, n_steps, cpus):
+    """[lo, hi) ranges tiling [0, n_paths): at most one per CPU, none empty,
+    each with at least _MIN_SHARD_PATH_STEPS of the bound of ``n_steps``
+    steps per path (one range if the whole pass has less)."""
+    k = max(1, min(cpus, n_paths, n_paths * n_steps // _MIN_SHARD_PATH_STEPS))
     return [(n_paths * s // k, n_paths * (s + 1) // k) for s in range(k)]
 
 
@@ -329,16 +338,18 @@ def _run_adopted(lo, hi):
     return _job(lo, hi)
 
 
-def _sharded(run, n_paths):
-    """``run(lo, hi)`` over [0, n_paths), one path-index shard per usable CPU.
+def _sharded(run, n_paths, n_steps):
+    """``run(lo, hi)`` over [0, n_paths) in the shards of ``_shards``, for
+    a pass of at most ``n_steps`` steps per path.
 
     This process runs the first shard, forked workers the others: ``run``
     reaches them by the fork, not by pickle.  Shard results are merged by
     path index (array attributes concatenated on the last axis, integers
-    summed); the lowest-indexed failing shard's exception is re-raised.
+    summed, so a result's ``shards = 1`` sums to the plan's size); the
+    lowest-indexed failing shard's exception is re-raised.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    shards = _shards(n_paths, cpus)
+    shards = _shards(n_paths, n_steps, cpus)
     # forking a process that runs other threads can deadlock the child
     if len(shards) < 2 or threading.active_count() > 1:
         return run(0, n_paths)
@@ -419,14 +430,14 @@ def _lane_blocks(seed, lo, hi, n_max, init):
 
 def _first_true(hit):
     """(lanes, rows) of the first True row in every column that has one."""
-    first = hit.argmax(axis=0)
-    cols = np.nonzero(hit[first, np.arange(hit.shape[1])])[0]
-    return cols, first[cols]
+    cols = np.nonzero(hit.any(axis=0))[0]
+    return cols, hit[:, cols].argmax(axis=0)
 
 
 def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
     """Check one pass's arguments; return ``run(lo, hi)``, which advances
-    the paths [lo, hi) and returns their BatchResult, ``hi - lo`` wide."""
+    the paths [lo, hi) and returns their BatchResult, ``hi - lo`` wide,
+    and the pass's step bound."""
     x0 = _check_real("x0", x0, 0.0)
     n_max = _horizon_steps(horizon, step)
     if scheme not in ("euler", "exact"):
@@ -575,7 +586,7 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
             G = None  # released before the next block's fill
         return res
 
-    return run
+    return run, n_max
 
 
 def simulate_rules(
@@ -596,8 +607,8 @@ def simulate_rules(
     ``n_paths`` and ``seed`` must be Python or numpy integers: a float such
     as 2.5 raises DomainError instead of running seed 2's paths.
     """
-    run = _engine(model, x0, rules, seed, step, horizon, scheme, bridge)
-    return _sharded(run, _check_count("n_paths", n_paths, 1))
+    run, n_max = _engine(model, x0, rules, seed, step, horizon, scheme, bridge)
+    return _sharded(run, _check_count("n_paths", n_paths, 1), n_max)
 
 
 def simulate_path(
@@ -616,7 +627,7 @@ def simulate_path(
     batch estimators bit for bit: the path is run afresh from
     (``stream.seed``, ``stream.index``).
     """
-    run = _engine(model, x0, [rule], stream.seed, step, horizon, scheme, bridge)
+    run, _ = _engine(model, x0, [rule], stream.seed, step, horizon, scheme, bridge)
     res = run(stream.index, stream.index + 1)
     return PathOutcome(
         x_stop=float(res.x_stop[0, 0]),

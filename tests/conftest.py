@@ -5,9 +5,10 @@ resident memory of the test process and of its forked shard workers.
 
 Every Monte Carlo pass runs through ``simulate._sharded`` (``cev`` imports
 the same function), so a session-wide wrapper in both modules counts the
-passes and adds the ``path_steps_stepped`` of each result that carries
-it, and its path-steps consumed: the per-path maximum of ``stop_step``
-over the pass's rules, summed over paths.  Tests that patch ``_sharded``
+passes, and among them those whose result's ``shards`` is more than one,
+and adds the ``path_steps_stepped`` of each result that carries it, and
+its path-steps consumed: the per-path maximum of ``stop_step`` over the
+pass's rules, summed over paths.  Tests that patch ``_sharded``
 themselves wrap this wrapper and still see every call.  Every solver
 quadrature runs through ``diffusion._integrate``, which ``boundary`` and
 ``bessel`` import by name, so a wrapper in all three modules counts them.
@@ -28,7 +29,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "goldenstop"
-footprint = {"passes": 0, "path_steps": 0, "consumed": 0, "quadratures": 0, "solves": 0, "nfev": 0}
+footprint = {"passes": 0, "sharded": 0, "path_steps": 0, "consumed": 0, "quadratures": 0, "solves": 0,
+             "nfev": 0}
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -37,9 +39,10 @@ def _count_engine_passes():
 
     sharded, integrate, solve_ivp = simulate._sharded, diffusion._integrate, boundary.solve_ivp
 
-    def counting(run, n_paths):
+    def counting(run, n_paths, n_steps):
         footprint["passes"] += 1
-        out = sharded(run, n_paths)
+        out = sharded(run, n_paths, n_steps)
+        footprint["sharded"] += getattr(out, "shards", 1) > 1
         footprint["path_steps"] += getattr(out, "path_steps_stepped", 0)
         if hasattr(out, "stop_step"):
             footprint["consumed"] += int(out.stop_step.max(axis=0).sum())
@@ -64,6 +67,22 @@ def _count_engine_passes():
         yield
 
 
+@pytest.fixture
+def shard_plans(monkeypatch):
+    """The number of shards of each plan ``simulate._sharded`` makes."""
+    from goldenstop import simulate
+
+    plans, plan = [], simulate._shards
+
+    def recording(*args):
+        shards = plan(*args)
+        plans.append(len(shards))
+        return shards
+
+    monkeypatch.setattr(simulate, "_shards", recording)
+    return plans
+
+
 def pytest_terminal_summary(terminalreporter):
     import goldenstop
 
@@ -74,7 +93,8 @@ def pytest_terminal_summary(terminalreporter):
     knobs = sum(p.default is not p.empty for f in public if inspect.isfunction(f)
                 for p in inspect.signature(f).parameters.values())
     terminalreporter.write_line(
-        f"goldenstop footprint: {footprint['passes']} engine passes, "
+        f"goldenstop footprint: {footprint['passes']} engine passes "
+        f"({footprint['sharded']} sharded), "
         f"{footprint['path_steps']:,} path-steps stepped, "
         f"{footprint['consumed']:,} path-steps consumed, "
         f"{footprint['quadratures']:,} solver quadratures, "

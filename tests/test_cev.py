@@ -224,7 +224,7 @@ def test_two_route_agreement_reduced_scale():
 
 
 def test_direct_sampler_checks_its_seed_before_forking(monkeypatch):
-    def forked(run, n_paths):
+    def forked(run, n_paths, n_steps):
         raise AssertionError("the pass was sharded before its seed was checked")
 
     monkeypatch.setattr(cev_module, "_sharded", forked)
@@ -232,8 +232,8 @@ def test_direct_sampler_checks_its_seed_before_forking(monkeypatch):
         g.direct_stopped_samples(g.CevModel(3.0), 1.0, 2.0, n_paths=4096, seed=-1)
 
 
-def test_direct_sampler_sharded_equals_serial(monkeypatch):
-    monkeypatch.setattr(simulate, "_MIN_SHARD_PATHS", 16)
+def test_direct_sampler_sharded_equals_serial(monkeypatch, shard_plans):
+    monkeypatch.setattr(simulate, "_MIN_SHARD_PATH_STEPS", 16)
     cev = g.CevModel(d=3.0, c_sigma=1.0)
     out = []
     for cpus in (1, 3):
@@ -243,6 +243,7 @@ def test_direct_sampler_sharded_equals_serial(monkeypatch):
             out.append(g.direct_stopped_samples(cev, 1.0, 2.0, n_paths=50, seed=21,
                                                 step=1e-2, horizon=0.3))
     (za, na), (zb, nb) = out
+    assert shard_plans == [1, 3]
     assert np.array_equal(za, zb) and na == nb and 0 < na < 50
 
 

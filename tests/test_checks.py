@@ -34,8 +34,8 @@ def test_golden_rule_checks_equal_star_then_sweep(seed, monkeypatch):
 def test_run_checks_rejects_a_fractional_path_count(monkeypatch):
     # it used to truncate 2.5 to 2 paths and run every group on them
     ran = []
-    monkeypatch.setattr(simulate, "_sharded", lambda run, n: ran.append(n))
-    monkeypatch.setattr(cev, "_sharded", lambda run, n: ran.append(n))
+    monkeypatch.setattr(simulate, "_sharded", lambda run, n, n_steps: ran.append(n))
+    monkeypatch.setattr(cev, "_sharded", lambda run, n, n_steps: ran.append(n))
     for group in checks.CHECK_GROUPS:
         with pytest.raises(g.DomainError, match="n_paths"):
             checks.run_checks([group], n_paths=2.5, step=1e-2)
@@ -67,9 +67,9 @@ def test_engine_passes_per_check_group(monkeypatch):
     calls = []
     original = simulate._sharded
 
-    def counting(run, n_paths):
+    def counting(run, n_paths, n_steps):
         calls.append(n_paths)
-        return original(run, n_paths)
+        return original(run, n_paths, n_steps)
 
     monkeypatch.setattr(simulate, "_sharded", counting)
     monkeypatch.setattr(cev, "_sharded", counting)

@@ -22,7 +22,7 @@ from scipy.stats import kstest
 
 import goldenstop as g
 from goldenstop import simulate
-from goldenstop.simulate import _DipProbe, _shards, simulate_rules
+from goldenstop.simulate import _DipProbe, _first_true, _shards, simulate_rules
 
 _U_FLOOR = 2.0 ** -53
 LAM3 = g.bessel_lambda(3.0)
@@ -286,7 +286,7 @@ def test_block_temporaries_are_group_sized():
     block's uniforms (32 MiB) plus temporaries the size of one group.  With
     temporaries the size of a block the same pass traces about 249 MiB."""
     rules = [g.StoppingRule.ratio_rule(lam) for lam in (1.8, 2.1, LAM3, 3.3, 4.0)]
-    run = simulate._engine(g.make_bessel_model(3.0), 1.0, rules, 1, 1e-3, 1.024, "euler", True)
+    run, _ = simulate._engine(g.make_bessel_model(3.0), 1.0, rules, 1, 1e-3, 1.024, "euler", True)
     tracemalloc.start()
     try:
         res = run(0, 8192)
@@ -704,28 +704,48 @@ def custom3():
 
 
 def test_shard_plan():
-    assert _shards(16384, 1) == [(0, 16384)]
-    assert _shards(16384, 2) == [(0, 8192), (8192, 16384)]
-    assert _shards(16384, 64) == [(k * 1024, (k + 1) * 1024) for k in range(16)]
-    assert _shards(2047, 2) == [(0, 2047)]
-    assert _shards(5, 64) == [(0, 5)]
-    for n, cpus in ((2048, 2), (50_000, 2), (3001, 64), (7, 1)):
-        plan = _shards(n, cpus)
+    # shards are sized by paths x step bound (2^20 path-steps at least)
+    # the exact-scheme defect table of the cev-routes benchmark: 4,002,000
+    assert _shards(1000, 4002, 2) == [(0, 500), (500, 1000)]
+    assert _shards(1000, 4002, 64) == [(0, 333), (333, 666), (666, 1000)]
+    # the chunk-invariance passes stay serial
+    assert _shards(40, 3000, 2) == [(0, 40)]
+    # 409,600 path-steps: serial, though 4,096 paths used to make two shards
+    assert _shards(4096, 100, 2) == [(0, 4096)]
+    assert _shards(16384, 50_000, 1) == [(0, 16384)]
+    assert _shards(16384, 50_000, 2) == [(0, 8192), (8192, 16384)]
+    # never an empty shard, however long the paths
+    assert _shards(3, 10**7, 64) == [(0, 1), (1, 2), (2, 3)]
+    assert _shards(5, 64, 64) == [(0, 5)]
+    for n, steps, cpus in ((2048, 2000, 2), (50_000, 30, 2), (3001, 30_000, 64), (7, 10**9, 1)):
+        plan = _shards(n, steps, cpus)
         assert plan[0][0] == 0 and plan[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(plan, plan[1:]))
-        assert len(plan) == 1 or min(hi - lo for lo, hi in plan) >= 1024
+        assert len(plan) == 1 or min(hi - lo for lo, hi in plan) * steps >= 2**20
+
+
+def test_first_true():
+    def first(rows):
+        cols, at = _first_true(np.array(rows, dtype=bool))
+        return cols.tolist(), at.tolist()
+
+    assert first([[0, 0, 0], [0, 0, 0]]) == ([], [])
+    assert first([[0, 1, 0], [0, 0, 0]]) == ([1], [0])
+    assert first([[0, 0, 0], [0, 0, 0], [1, 0, 0]]) == ([0], [2])
+    assert first([[0, 0, 0], [0, 1, 1], [0, 1, 0], [1, 1, 1]]) == ([0, 1, 2], [3, 1, 1])
 
 
 def test_sharded_merges_by_path_index_and_reraises_lowest_shard(monkeypatch):
-    monkeypatch.setattr(simulate, "_MIN_SHARD_PATHS", 16)
+    monkeypatch.setattr(simulate, "_MIN_SHARD_PATH_STEPS", 16)
     _cpus(monkeypatch, 3)
 
     def run(lo, hi):
         return SimpleNamespace(index=np.arange(lo, hi), pid=np.full(hi - lo, os.getpid()),
-                               width=hi - lo, tag="shard")
+                               width=hi - lo, tag="shard", shards=1)
 
-    out = simulate._sharded(run, 50)
+    out = simulate._sharded(run, 50, 30)
     assert np.array_equal(out.index, np.arange(50)) and out.width == 50 and out.tag == "shard"
+    assert out.shards == 3
     assert np.all(out.pid[:16] == os.getpid()) and np.all(out.pid[16:] != os.getpid())
 
     def failing(lo, hi):
@@ -734,7 +754,7 @@ def test_sharded_merges_by_path_index_and_reraises_lowest_shard(monkeypatch):
         return run(lo, hi)
 
     with pytest.raises(g.SchemeError, match="shard at 16"):
-        simulate._sharded(failing, 50)
+        simulate._sharded(failing, 50, 30)
 
 
 def test_no_fork_start_method_runs_serially(monkeypatch):
@@ -744,21 +764,23 @@ def test_no_fork_start_method_runs_serially(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # a pool would fail
     _cpus(monkeypatch, 2)
+    assert len(_shards(4096, 1000, 2)) == 2
     calls = []
     out = simulate._sharded(
         lambda lo, hi: calls.append((lo, hi, os.getpid())) or SimpleNamespace(v=np.arange(lo, hi)),
-        4096)
+        4096, 1000)
     assert calls == [(0, 4096, os.getpid())] and out.v.size == 4096
 
 
 def test_no_workers_forked_while_other_threads_run(monkeypatch):
     _cpus(monkeypatch, 2)
+    assert len(_shards(4096, 1000, 2)) == 2
     stop = threading.Event()
     other = threading.Thread(target=stop.wait, daemon=True)
     other.start()
     try:
         out = simulate._sharded(lambda lo, hi: SimpleNamespace(pid=np.full(hi - lo, os.getpid())),
-                                4096)
+                                4096, 1000)
     finally:
         stop.set()
         other.join(timeout=10)
@@ -767,8 +789,8 @@ def test_no_workers_forked_while_other_threads_run(monkeypatch):
 
 def test_sharded_pass_equals_serial(monkeypatch, custom3):
     """Three uneven shards over 50 paths give the serial pass bit for bit."""
-    monkeypatch.setattr(simulate, "_MIN_SHARD_PATHS", 16)
-    assert _shards(50, 3) == [(0, 16), (16, 33), (33, 50)]
+    monkeypatch.setattr(simulate, "_MIN_SHARD_PATH_STEPS", 16)
+    assert _shards(50, 25, 3) == [(0, 16), (16, 33), (33, 50)]
     model = g.make_bessel_model(3.0)
     R = g.StoppingRule
     golden = R.ratio_rule(LAM3)
@@ -790,6 +812,7 @@ def test_sharded_pass_equals_serial(monkeypatch, custom3):
         serial = simulate_rules(model_, x0, rules, 50, **kw)
         _cpus(monkeypatch, 3)
         sharded = simulate_rules(model_, x0, rules, 50, **kw)
+        assert (serial.shards, sharded.shards) == (1, 3)
         for name in ("stop_step", "x_stop", "i_stop", "objective", "theta_step", "truncated"):
             assert np.array_equal(getattr(serial, name), getattr(sharded, name)), name
         assert sharded.rule_ids == serial.rule_ids
@@ -800,10 +823,11 @@ def test_sharded_pass_equals_serial(monkeypatch, custom3):
             _assert_rows_replay(sharded, model_, x0, rules, **kw)
 
 
-def test_scheme_error_in_worker_shard_reaches_caller(monkeypatch, custom3):
+def test_scheme_error_in_worker_shard_reaches_caller(monkeypatch, custom3, shard_plans):
     # at seed 52 Euler fails on paths 19 and 45 only: shards 1 and 2 of 3
-    monkeypatch.setattr(simulate, "_MIN_SHARD_PATHS", 16)
+    monkeypatch.setattr(simulate, "_MIN_SHARD_PATH_STEPS", 16)
     _cpus(monkeypatch, 3)
     with pytest.raises(g.SchemeError, match="path 19 .*reduce step"):
         simulate_rules(custom3, 0.5, [g.StoppingRule.ratio_rule(LAM3)], 48,
                        seed=52, step=0.02, horizon=2.0)
+    assert shard_plans == [3]
