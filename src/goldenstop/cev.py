@@ -196,7 +196,7 @@ def direct_stopped_samples(
                 out.blowup[ids] = np.where(np.isfinite(out.z[ids]), 0, ln.t(k0, k1)[rows, cols])
                 ln.done[cols] = True
                 ln.state.update(Z=Z[-1], S=S[-1])
-            last = ~ln.done & (ln.offset + ln.steps == n_max)
+            last = ~ln.done & ln.ends
             out.z[ln.index[last] - lo] = Z[-1, last]
             out.trunc[ln.index[last] - lo] = True
         return out
@@ -234,8 +234,8 @@ def martingale_defect_table(
     {"horizon", "mean_price", "std_error"} and carry no pass/fail verdict
     (the trend is the diagnostic).
     """
-    hs = sorted(float(t) for t in horizons)
-    if not hs or hs[0] <= 0.0:
+    hs = np.sort(_check_real("horizons", horizons, 0.0), axis=None).tolist()
+    if not hs:
         raise DomainError(f"need positive horizons, got {horizons}")
     x0 = cev_inverse_transform(cev, z0)
     model = make_bessel_model(cev.d)

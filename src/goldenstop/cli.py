@@ -79,7 +79,8 @@ def _csv_text(columns, records) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON (RFC 8259): a non-finite value raises ValueError."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write_output(out, text: str) -> None:
@@ -381,7 +382,7 @@ def distribution_cmd(ctx, dim, **options):
               help="Stopping rule, repeatable: ratio[:LAM], drawdown[:KAPPA], "
                    "fixed:T (time units) or boundary:FILE (CSV). "
                    "Default: ratio at the optimal threshold.")
-@click.option("--n-paths", type=click.IntRange(min=1), default=None,
+@click.option("--n-paths", type=click.IntRange(min=2), default=None,
               help="Monte Carlo sample size.  [default: 50000]")
 @click.option("--step", type=float, default=None,
               help="Time step of the scheme (time units).  [default: 0.0001]")
@@ -415,7 +416,7 @@ def simulate_cmd(ctx, dim, **options):
 @click.option("--kappa", "kappas", type=float, multiple=True,
               help="Drawdown threshold S/Z > 1, repeatable.  Default sweep: "
                    "2.0, the optimal threshold, 4.0.")
-@click.option("--n-paths", type=click.IntRange(min=1), default=50_000,
+@click.option("--n-paths", type=click.IntRange(min=2), default=50_000,
               show_default=True, help="Monte Carlo sample size.")
 @click.option("--step", type=float, default=1e-4, show_default=True,
               help="Time step of the scheme (time units).")

@@ -178,15 +178,25 @@ def _check_count(name, value, least, below=None) -> int:
 
 def _check_real(name, value, bound, strict=True):
     """``value`` (a real or an array of reals) as float(s); DomainError unless
-    every entry is finite and above ``bound``, or at it when not ``strict``."""
+    every entry is finite and above ``bound``, or at it when not ``strict``.
+    Text is not a real, alone or in an array."""
     try:
-        v = np.asarray(value, dtype=float)
-        ok = not isinstance(value, str) and (np.isfinite(v) & (v > bound if strict else v >= bound)).all()
+        raw = np.asarray(value)
+        v = np.asarray(raw, dtype=float)
+        ok = raw.dtype.kind not in "US" and (np.isfinite(v) & (v > bound if strict else v >= bound)).all()
         v = float(v) if v.ndim == 0 else v
     except (TypeError, ValueError):
         ok = False
     if not ok:
         raise DomainError(f"need finite {name} {'>' if strict else '>='} {bound:g}, got {value}")
+    return v
+
+
+def _check_scalar(name, value, bound, strict=True) -> float:
+    """One real, checked as by ``_check_real``; DomainError for an array."""
+    v = _check_real(name, value, bound, strict)
+    if not isinstance(v, float):
+        raise DomainError(f"need one real {name}, got {value}")
     return v
 
 
@@ -211,14 +221,14 @@ def _check_interval(model, a, b, **points):
 
 
 def _check_dim(d) -> float:
-    """The Bessel dimension d as a float; DomainError unless finite and > 2."""
-    d = float(d)
-    if not math.isfinite(d) or d <= 2.0:
+    """The Bessel dimension d as a float; DomainError unless one finite real > 2."""
+    try:
+        return _check_scalar("d", d, 2.0)
+    except DomainError:
         raise DomainError(
-            f"Bessel dimension must satisfy d > 2 (transient case); got d={d}. "
+            f"Bessel dimension must satisfy d > 2 (transient case); got d={d!r}. "
             "For d <= 2 the process is recurrent and the ultimate minimum is 0."
-        )
-    return d
+        ) from None
 
 
 def make_bessel_model(d: float) -> DiffusionModel:

@@ -13,10 +13,14 @@ the per-step uniforms and Philox(key=[seed, 2*index + 1]) for the
 occasional gamma draws.  Every step consumes exactly two uniforms from the
 first stream (one mapped to a normal through the inverse CDF, one for the
 bridge minimum) whether or not the bridge is enabled, so the draw a path
-sees at step s is a pure function of (seed, index, s).  Results are
-therefore bit-identical for any chunking of paths, any block size, any
-number of rules evaluated in the same pass, and simulate_path(seed, k)
-reproduces path k of a batch run exactly.
+sees at step s is a pure function of (seed, index, s).  The second stream
+is consumed in step order: one uniform per step on the exact scheme, and
+on Euler one per guarded step (a step taken by the exact substep near the
+origin).  Results are therefore bit-identical for any chunking of paths,
+any block size, any number of rules evaluated in the same pass, and
+simulate_path(seed, k) reproduces path k of a batch run exactly.
+`_lane_blocks` is the contract's one implementation: no other code draws
+from or floors the streams that `make_path_stream` opens.
 
 Lanes
 -----
@@ -72,7 +76,7 @@ import numpy as np
 from scipy.special import gammaincinv, ndtri
 
 from .boundary import Boundary
-from .diffusion import DiffusionModel, _check_count, _check_real
+from .diffusion import DiffusionModel, _check_count, _check_scalar
 from .errors import DomainError, SchemeError, _caller_stacklevel
 
 __all__ = [
@@ -120,11 +124,11 @@ class StoppingRule:
     def __post_init__(self):
         v = self.variant
         if v == "ratio":
-            _check_real("lam", self.lam, 1.0)
+            object.__setattr__(self, "lam", _check_scalar("lam", self.lam, 1.0))
         elif v == "drawdown":
-            _check_real("kappa", self.kappa, 1.0)
+            object.__setattr__(self, "kappa", _check_scalar("kappa", self.kappa, 1.0))
         elif v == "fixed_time":
-            _check_real("t", self.t, 0.0, strict=False)
+            object.__setattr__(self, "t", _check_scalar("t", self.t, 0.0, strict=False))
         elif v == "boundary":
             if not isinstance(self.boundary, Boundary):
                 raise DomainError("boundary rule needs a Boundary instance")
@@ -133,7 +137,7 @@ class StoppingRule:
 
     @classmethod
     def ratio_rule(cls, lam: float) -> "StoppingRule":
-        return cls(variant="ratio", lam=float(lam))
+        return cls(variant="ratio", lam=lam)
 
     @classmethod
     def boundary_rule(cls, boundary: Boundary) -> "StoppingRule":
@@ -141,11 +145,11 @@ class StoppingRule:
 
     @classmethod
     def drawdown_rule(cls, kappa: float) -> "StoppingRule":
-        return cls(variant="drawdown", kappa=float(kappa))
+        return cls(variant="drawdown", kappa=kappa)
 
     @classmethod
     def fixed_time_rule(cls, t: float) -> "StoppingRule":
-        return cls(variant="fixed_time", t=float(t))
+        return cls(variant="fixed_time", t=t)
 
     @property
     def rule_id(self) -> str:
@@ -244,7 +248,7 @@ def _ratio_of(rule, model: DiffusionModel) -> Optional[float]:
     lam = kappa^(1/(d-2)); at d = 3 the pow is exactly kappa.
     """
     if rule.variant == "ratio":
-        return float(rule.lam)
+        return rule.lam
     if rule.variant != "drawdown":
         return None
     if model.kind != "bessel":
@@ -252,7 +256,7 @@ def _ratio_of(rule, model: DiffusionModel) -> Optional[float]:
             "drawdown rules are defined through the Bessel price map; "
             f"model kind {model.kind!r} is not supported"
         )
-    return float(rule.kappa) ** (1.0 / (model.dim - 2.0))
+    return rule.kappa ** (1.0 / (model.dim - 2.0))
 
 
 def _steps(t: float, step: float) -> int:
@@ -373,8 +377,9 @@ def _sharded(run, n_paths, n_steps):
     return out
 
 
-def _lane_blocks(seed, lo, hi, n_max, init):
-    """Admit/fill/retire iterator behind every path-advancing loop.
+def _lane_blocks(seed, lo, hi, n_max, init, gammas=False):
+    """Admit/fill/retire iterator behind every path-advancing loop, and the
+    only reader of the per-path streams.
 
     Up to ``_LANE_WIDTH`` lanes run the paths [lo, hi) side by side.  A lane
     is one path: its index, streams, step offset and state arrays (one per
@@ -382,27 +387,33 @@ def _lane_blocks(seed, lo, hi, n_max, init):
     yield is one block of ``steps`` <= ``_BLOCK_STEPS`` steps, its uniforms
     drawn, in row ranges ``groups``: ``z(k0, k1)`` and ``u(k0, k1)`` are the
     (rows, lanes) normal increments and floored bridge uniforms of rows
-    [k0, k1), and ``t(k0, k1)`` the step index each row reaches.  The caller
-    advances ``state`` and marks ``done`` the lanes it has finished; at the
-    next boundary those and the lanes that reached ``n_max`` retire and new
-    paths take their places.
+    [k0, k1), and ``t(k0, k1)`` the step index each row reaches.  Floored
+    gamma uniforms come as ``g(k0, k1)``, one per step drawn with the
+    block when ``gammas`` is set, or as ``g_next(lanes)``, one for each
+    listed lane in lane order.  ``ends`` marks the lanes whose run reaches
+    ``n_max`` at the block's last row.  The caller advances ``state`` and
+    marks ``done`` the lanes it has finished; at the next boundary those
+    and the ``ends`` lanes retire and new paths take their places.
     """
-    U = None  # the block's uniforms: per lane, two per step
+    U = G = None  # the block's uniforms per lane: two per step; one gamma uniform per step
 
-    def floored(parity, k0, k1):
-        rows = U[:, 2 * k0 + parity:2 * k1:2].T
+    def floored(cells):
+        rows = cells.T
         return np.maximum(rows, _U_FLOOR, out=np.empty(rows.shape))
 
     col = {k: np.asarray(v)[..., None] for k, v in init.items()}
     ln = SimpleNamespace(index=np.zeros(0, dtype=np.int64), offset=np.zeros(0, dtype=np.int64),
-                         streams=[], done=np.zeros(0, dtype=bool),
+                         streams=[], done=np.zeros(0, dtype=bool), ends=np.zeros(0, dtype=bool),
                          state={k: c[..., :0] for k, c in col.items()},
-                         z=lambda k0, k1: ndtri(floored(0, k0, k1)),
-                         u=lambda k0, k1: floored(1, k0, k1),
+                         z=lambda k0, k1: ndtri(floored(U[:, 2 * k0:2 * k1:2])),
+                         u=lambda k0, k1: floored(U[:, 2 * k0 + 1:2 * k1:2]),
+                         g=lambda k0, k1: floored(G[:, k0:k1]),
+                         g_next=lambda lanes: floored(
+                             np.array([ln.streams[r].gamma.random() for r in lanes])),
                          t=lambda k0, k1: ln.offset + np.arange(k0 + 1, k1 + 1)[:, None])
     admitted = lo
     while True:
-        keep = ~ln.done & (ln.offset < n_max)
+        keep = ~(ln.done | ln.ends)
         first, admitted = admitted, min(admitted + _LANE_WIDTH - int(keep.sum()), hi)
         new = np.arange(first, admitted)
         ln.streams = [s for s, kp in zip(ln.streams, keep) if kp] + [
@@ -416,15 +427,19 @@ def _lane_blocks(seed, lo, hi, n_max, init):
             return
         # no lane steps past n_max: the block ends where the oldest lane's run does
         ln.steps = B = min(_BLOCK_STEPS, n_max - int(ln.offset.max()))
+        ln.ends = ln.offset + B == n_max
         # a group spans as many cells as _GROUP_STEPS rows of a full-width block
         span = _GROUP_STEPS * _LANE_WIDTH // m
         ln.groups = [(k0, min(k0 + span, B)) for k0 in range(0, B, span)]
         U = np.empty((m, 2 * B))
+        G = np.empty((m, B)) if gammas else None
         for r, st in enumerate(ln.streams):
             st.uniform.random(out=U[r])
+            if gammas:
+                st.gamma.random(out=G[r])
         ln.done = np.zeros(m, dtype=bool)
         yield ln
-        U = None  # released before the next block's fill
+        U = G = None  # released before the next block's fill
         ln.offset += B
 
 
@@ -438,7 +453,7 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
     """Check one pass's arguments; return ``run(lo, hi)``, which advances
     the paths [lo, hi) and returns their BatchResult, ``hi - lo`` wide,
     and the pass's step bound."""
-    x0 = _check_real("x0", x0, 0.0)
+    x0 = _check_scalar("x0", x0, 0.0)
     n_max = _horizon_steps(horizon, step)
     if scheme not in ("euler", "exact"):
         raise DomainError(f"unknown scheme {scheme!r}")
@@ -467,9 +482,8 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
         x_guard = max(4.0 * math.sqrt((d - 1.0) * step), 8.5 * math.sqrt(step))
 
         def bessel_step(a, sz, gu):
-            """Exact squared-Bessel step from a: normal part sz, gamma uniforms gu."""
-            gdraw = 2.0 * gammaincinv(gshape, np.maximum(gu, _U_FLOOR))
-            return np.sqrt((a + sz) ** 2 + step * gdraw)
+            """Exact squared-Bessel step from a: normal part sz, floored gamma uniforms gu."""
+            return np.sqrt((a + sz) ** 2 + step * (2.0 * gammaincinv(gshape, gu)))
     sqdt = math.sqrt(step)
     init = dict(X=x0, I=x0, obj=0.0, cprev=-1.0, theta=0, pending=~at0)
 
@@ -492,11 +506,10 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
             res.truncated[j, ids] = truncated
             pending[j, cols] = False
 
-        for ln in _lane_blocks(seed, lo, hi, n_max, init):
-            B, m, st = ln.steps, ln.index.size, ln.state
-            res.path_steps_stepped += m * B
+        for ln in _lane_blocks(seed, lo, hi, n_max, init, gammas=scheme == "exact"):
+            m, st = ln.index.size, ln.state
+            res.path_steps_stepped += m * ln.steps
             pending = st["pending"]
-            G = np.array([ps.gamma.random(B) for ps in ln.streams]).T if scheme == "exact" else None
             bad = np.full(m, n_max + 1)  # each lane's first failed Euler step in the block
 
             for k0, k1 in ln.groups:
@@ -507,8 +520,9 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
                 z = ln.z(k0, k1)
                 SZ, VOL = (sqdt * z, None) if is_bessel else (None, np.empty((n, m)))
                 if scheme == "exact":
+                    gu = ln.g(k0, k1)
                     for k in range(n):
-                        X[k + 1] = bessel_step(X[k], SZ[k], G[k0 + k])
+                        X[k + 1] = bessel_step(X[k], SZ[k], gu[k])
                 elif is_bessel:
                     for k in range(n):
                         a = X[k]
@@ -516,8 +530,7 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
                         guarded = a < x_guard
                         if guarded.any():
                             rows = np.nonzero(guarded)[0]
-                            gu = np.array([ln.streams[r].gamma.random() for r in rows])
-                            Xn[rows] = bessel_step(a[rows], SZ[k, rows], gu)
+                            Xn[rows] = bessel_step(a[rows], SZ[k, rows], ln.g_next(rows))
                         np.maximum(Xn, EULER_FLOOR, out=X[k + 1])
                 else:
                     for k in range(n):
@@ -564,8 +577,7 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
                 st.update(X=Xn[-1], I=I[-1], obj=obj[-1], cprev=c[-1], theta=theta[-1])
 
             # the lanes still pending at the horizon stop at the block's last row
-            at_h = ln.offset + B == n_max
-            for j, row in enumerate(pending & at_h):
+            for j, row in enumerate(pending & ln.ends):
                 record(j, np.nonzero(row)[0], n - 1, True)
 
             # a failed Euler step counts only on a lane still live at that step.
@@ -583,7 +595,6 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
                                   f"at t={t_bad[e] * step:g}; reduce step")
 
             ln.done = ~pending.any(axis=0)
-            G = None  # released before the next block's fill
         return res
 
     return run, n_max
@@ -730,11 +741,12 @@ def estimate_future_min_prob(
     extra["exit_fraction"]; truncated_fraction counts the paths that
     reached the horizon.
     """
-    if not (0.0 < level < x0):
+    x0, level = _check_scalar("x0", x0, 0.0), _check_scalar("level", level, 0.0)
+    if not level < x0:
         raise DomainError(f"need 0 < level < x0, got level={level}, x0={x0}")
-    exit_level = float(x0) + float(model.volatility(x0)) * math.sqrt(horizon)
+    exit_level = x0 + float(model.volatility(x0)) * math.sqrt(horizon)
     res = simulate_rules(
-        model, x0, [_DipProbe(level=float(level), exit=exit_level)], n_paths,
+        model, x0, [_DipProbe(level=level, exit=exit_level)], n_paths,
         seed=seed, step=step, horizon=horizon,
     )
     trunc = res.truncated[0]

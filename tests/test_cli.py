@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import goldenstop as g
-from goldenstop.cli import main
+from goldenstop.cli import dispatch, main
 
 LAM3 = g.bessel_lambda(3.0)
 PACKAGE = Path(g.__file__).resolve().parent
@@ -599,6 +599,11 @@ def _table_value(doc, name):
     return doc["quantiles"][name[1:]]
 
 
+def _not_json(token):
+    # json.loads accepts NaN, Infinity and -Infinity; RFC 8259 parsers do not
+    raise AssertionError(f"{token} is not JSON")
+
+
 _AGREEMENT_CASES = [
     (["lambda", "--dim", "5.5"], lambda doc: [doc]),
     (["value", "--dim", "4", "--lam", "3", "--i", "0.7", "--x", "1.1"], lambda doc: [doc]),
@@ -620,7 +625,7 @@ def test_csv_cells_print_the_json_values(monkeypatch, args, records):
     res_csv, res_json = (CliRunner().invoke(main, ["--format", fmt, *args]) for fmt in ("csv", "json"))
     assert res_csv.exit_code == res_json.exit_code
     header, *rows = _rows(res_csv.output)
-    doc = json.loads(res_json.output)
+    doc = json.loads(res_json.output, parse_constant=_not_json)
     if records is None:
         assert header == ["name", "value"]
         expected = [{"name": name, "value": _table_value(doc, name)} for name, _ in rows]
@@ -667,3 +672,17 @@ def test_readme_transcripts_print_what_they_show(args, lines):
         lines = lines[:-1]
         printed = printed[: len(lines)]
     assert printed == lines
+
+
+@pytest.mark.parametrize("command", ["simulate", "cev"])
+def test_one_path_is_a_usage_error(command):
+    # a standard error needs two paths; one would print "std_error": Infinity
+    res = CliRunner().invoke(main, ["--format", "json", command, "--n-paths", "1", "--step", "0.01"])
+    assert res.exit_code == 2
+    assert "--n-paths" in res.stderr and res.stdout == ""
+
+
+def test_non_finite_json_exits_2(capsys):
+    assert dispatch(lambda: ({"std_error": math.inf}, [], [], 0), fmt="json") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")

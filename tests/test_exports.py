@@ -10,6 +10,7 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import goldenstop
@@ -123,3 +124,41 @@ def test_warnings_name_the_caller(path):
     # as soon as the call passes through one more module
     bad = _unnamed_warnings(ast.parse(path.read_text(), str(path)), path.name)
     assert not bad, f"warnings.warn without stacklevel=_caller_stacklevel(): {bad}"
+
+
+# the per-path stream contract has one implementation: only these definitions
+# open the streams, draw from them or floor their uniforms
+STREAM_OWNERS = {"make_path_stream", "PathStream", "_lane_blocks"}
+GENERATOR_METHODS = {n for n in dir(np.random.Generator) if not n.startswith("_")}
+
+
+def _stream_reads(tree, filename):
+    """file:line of every generator method call, read of ``.streams``,
+    ``.uniform`` or ``.gamma`` (off anything but an imported name) and read
+    of ``_U_FLOOR`` outside the definitions named in STREAM_OWNERS."""
+    imported = {a.asname or a.name.split(".")[0] for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    found, todo = [], [tree]
+    while todo:
+        for n in ast.iter_child_nodes(todo.pop()):
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name in STREAM_OWNERS:
+                continue
+            todo.append(n)
+            if isinstance(n, ast.Attribute) and not (isinstance(n.value, ast.Name)
+                                                     and n.value.id in imported):
+                bad = (n.attr in ("streams", "uniform", "gamma")
+                       or id(n) in called and n.attr in GENERATOR_METHODS)
+            else:
+                bad = isinstance(n, ast.Name) and n.id == "_U_FLOOR" and isinstance(n.ctx, ast.Load)
+            if bad:
+                found.append(f"{filename}:{n.lineno}")
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_reader_of_the_path_streams(path):
+    # a second reader states the streams' draw order a second time, and a
+    # change to one of the two then breaks replay on the paths it serves
+    bad = _stream_reads(ast.parse(path.read_text(), str(path)), path.name)
+    assert not bad, f"per-path streams read outside {sorted(STREAM_OWNERS)}: {bad}"

@@ -2,7 +2,8 @@
 path count, a grid size or a shot count is a Python or numpy integer, never
 a float, bool or string truncated or coerced to one.  The per-path stream
 contract keys each path's draws on (seed, index), so a truncated 2.5 would
-silently rerun seed 2.  Bounded reals must be finite."""
+silently rerun seed 2.  Bounded reals must be finite, no real is text, and
+a parameter that is one real (a dimension, a rule's threshold) is no array."""
 
 import math
 
@@ -70,8 +71,21 @@ def test_integer_arguments_are_never_truncated(entry):
     lambda: g.line_boundary(M3, LAM3, 0.5, math.inf),
     lambda: g.bessel_value(3.0, "2.5", 1.0, 1.0),
     lambda: g.StoppingRule(variant="ratio"),
+    lambda: g.make_bessel_model("3"),
+    lambda: g.bessel_lambda("3"),
+    lambda: g.CevModel("3"),
+    lambda: g.StoppingRule.ratio_rule("2.5"),
+    lambda: g.StoppingRule.drawdown_rule("2.5"),
+    lambda: g.StoppingRule.fixed_time_rule("1"),
+    lambda: g.estimate_future_min_prob(M3, 2.0, "1", n_paths=4, **MC),
+    lambda: g.martingale_defect_table(g.CevModel(3.0), 1.0, ["0.5"], n_paths=4, step=1e-2),
+    lambda: g.make_bessel_model([3.0]),
+    lambda: g.StoppingRule.ratio_rule([2.5, 3.0]),
 ], ids=["residuals-inf", "value-nan", "coefficients-x_max-inf", "ray-i_max-inf",
-        "value-lam-string", "ratio-rule-no-lam"])
+        "value-lam-string", "ratio-rule-no-lam", "model-d-string", "lambda-d-string",
+        "cev-d-string", "ratio-rule-string", "drawdown-rule-string", "fixed-time-rule-string",
+        "future-min-level-string", "defect-table-horizon-string", "model-d-array",
+        "ratio-rule-array"])
 def test_bounded_reals_must_be_finite(call):
     with pytest.raises(g.DomainError):
         call()

@@ -282,19 +282,23 @@ def test_direct_cev_route_group_invariance():
 
 
 def test_block_temporaries_are_group_sized():
-    """One serial full-width pass of four blocks traces at most 96 MiB: the
-    block's uniforms (32 MiB) plus temporaries the size of one group.  With
-    temporaries the size of a block the same pass traces about 249 MiB."""
+    """One serial full-width Euler pass of four blocks traces at most 96 MiB:
+    the block's uniforms (32 MiB) plus temporaries the size of one group.
+    With temporaries the size of a block the same pass traces about 249 MiB.
+    The exact scheme adds the block's gamma uniforms (16 MiB), filled in
+    place, and traces at most 84 MiB; stacked from per-lane draws they took
+    it to 89.5 MiB."""
     rules = [g.StoppingRule.ratio_rule(lam) for lam in (1.8, 2.1, LAM3, 3.3, 4.0)]
-    run, _ = simulate._engine(g.make_bessel_model(3.0), 1.0, rules, 1, 1e-3, 1.024, "euler", True)
-    tracemalloc.start()
-    try:
-        res = run(0, 8192)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.stop_step.max() == 1024 and res.truncated.any()
-    assert peak <= 96 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    for scheme, bound in (("euler", 96), ("exact", 84)):
+        run, _ = simulate._engine(g.make_bessel_model(3.0), 1.0, rules, 1, 1e-3, 1.024, scheme, True)
+        tracemalloc.start()
+        try:
+            res = run(0, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.stop_step.max() == 1024 and res.truncated.any()
+        assert peak <= bound * 2**20, f"{scheme}: traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_ray_boundary_rule_matches_ratio_rule():
