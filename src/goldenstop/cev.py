@@ -234,9 +234,10 @@ def martingale_defect_table(
     {"horizon", "mean_price", "std_error"} and carry no pass/fail verdict
     (the trend is the diagnostic).
     """
-    hs = np.sort(_check_real("horizons", horizons, 0.0), axis=None).tolist()
-    if not hs:
-        raise DomainError(f"need positive horizons, got {horizons}")
+    hs = _check_real("horizons", horizons, 0.0)
+    if np.ndim(hs) != 1 or not hs.size:
+        raise DomainError(f"need a sequence of positive horizons, got {horizons}")
+    hs = np.sort(hs).tolist()
     x0 = cev_inverse_transform(cev, z0)
     model = make_bessel_model(cev.d)
     rules = [StoppingRule.fixed_time_rule(t) for t in hs]

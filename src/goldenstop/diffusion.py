@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
@@ -188,7 +189,8 @@ def _check_real(name, value, bound, strict=True):
     except (TypeError, ValueError):
         ok = False
     if not ok:
-        raise DomainError(f"need finite {name} {'>' if strict else '>='} {bound:g}, got {value}")
+        shown = repr(value) if isinstance(value, str) else value  # text reads as text
+        raise DomainError(f"need finite {name} {'>' if strict else '>='} {bound:g}, got {shown}")
     return v
 
 
@@ -222,13 +224,15 @@ def _check_interval(model, a, b, **points):
 
 def _check_dim(d) -> float:
     """The Bessel dimension d as a float; DomainError unless one finite real > 2."""
-    try:
+    if not isinstance(d, numbers.Real):  # text or an array: checked as any other real
         return _check_scalar("d", d, 2.0)
-    except DomainError:
+    d = float(d)
+    if not math.isfinite(d) or d <= 2.0:
         raise DomainError(
-            f"Bessel dimension must satisfy d > 2 (transient case); got d={d!r}. "
+            f"Bessel dimension must satisfy d > 2 (transient case); got d={d}. "
             "For d <= 2 the process is recurrent and the ultimate minimum is 0."
-        ) from None
+        )
+    return d
 
 
 def make_bessel_model(d: float) -> DiffusionModel:

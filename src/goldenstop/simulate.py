@@ -377,7 +377,7 @@ def _sharded(run, n_paths, n_steps):
     return out
 
 
-def _lane_blocks(seed, lo, hi, n_max, init, gammas=False):
+def _lane_blocks(seed, lo, hi, n_max, init):
     """Admit/fill/retire iterator behind every path-advancing loop, and the
     only reader of the per-path streams.
 
@@ -388,12 +388,13 @@ def _lane_blocks(seed, lo, hi, n_max, init, gammas=False):
     drawn, in row ranges ``groups``: ``z(k0, k1)`` and ``u(k0, k1)`` are the
     (rows, lanes) normal increments and floored bridge uniforms of rows
     [k0, k1), and ``t(k0, k1)`` the step index each row reaches.  Floored
-    gamma uniforms come as ``g(k0, k1)``, one per step drawn with the
-    block when ``gammas`` is set, or as ``g_next(lanes)``, one for each
-    listed lane in lane order.  ``ends`` marks the lanes whose run reaches
-    ``n_max`` at the block's last row.  The caller advances ``state`` and
-    marks ``done`` the lanes it has finished; at the next boundary those
-    and the ``ends`` lanes retire and new paths take their places.
+    gamma uniforms come as ``g(k0, k1)``, one per step (the block's first
+    call fills them for the whole block), or as ``g_next(lanes)``, one for
+    each listed lane in lane order; a pass reads one or the other.
+    ``ends`` marks the lanes whose run reaches ``n_max`` at the block's
+    last row.  The caller advances ``state`` and marks ``done`` the lanes
+    it has finished; at the next boundary those and the ``ends`` lanes
+    retire and new paths take their places.
     """
     U = G = None  # the block's uniforms per lane: two per step; one gamma uniform per step
 
@@ -401,13 +402,21 @@ def _lane_blocks(seed, lo, hi, n_max, init, gammas=False):
         rows = cells.T
         return np.maximum(rows, _U_FLOOR, out=np.empty(rows.shape))
 
+    def gamma_rows(k0, k1):
+        nonlocal G
+        if G is None:
+            G = np.empty((len(ln.streams), ln.steps))
+            for r, st in enumerate(ln.streams):
+                st.gamma.random(out=G[r])
+        return floored(G[:, k0:k1])
+
     col = {k: np.asarray(v)[..., None] for k, v in init.items()}
     ln = SimpleNamespace(index=np.zeros(0, dtype=np.int64), offset=np.zeros(0, dtype=np.int64),
                          streams=[], done=np.zeros(0, dtype=bool), ends=np.zeros(0, dtype=bool),
                          state={k: c[..., :0] for k, c in col.items()},
                          z=lambda k0, k1: ndtri(floored(U[:, 2 * k0:2 * k1:2])),
                          u=lambda k0, k1: floored(U[:, 2 * k0 + 1:2 * k1:2]),
-                         g=lambda k0, k1: floored(G[:, k0:k1]),
+                         g=gamma_rows,
                          g_next=lambda lanes: floored(
                              np.array([ln.streams[r].gamma.random() for r in lanes])),
                          t=lambda k0, k1: ln.offset + np.arange(k0 + 1, k1 + 1)[:, None])
@@ -432,11 +441,8 @@ def _lane_blocks(seed, lo, hi, n_max, init, gammas=False):
         span = _GROUP_STEPS * _LANE_WIDTH // m
         ln.groups = [(k0, min(k0 + span, B)) for k0 in range(0, B, span)]
         U = np.empty((m, 2 * B))
-        G = np.empty((m, B)) if gammas else None
         for r, st in enumerate(ln.streams):
             st.uniform.random(out=U[r])
-            if gammas:
-                st.gamma.random(out=G[r])
         ln.done = np.zeros(m, dtype=bool)
         yield ln
         U = G = None  # released before the next block's fill
@@ -506,7 +512,7 @@ def _engine(model, x0, rules, seed, step, horizon, scheme, bridge):
             res.truncated[j, ids] = truncated
             pending[j, cols] = False
 
-        for ln in _lane_blocks(seed, lo, hi, n_max, init, gammas=scheme == "exact"):
+        for ln in _lane_blocks(seed, lo, hi, n_max, init):
             m, st = ln.index.size, ln.state
             res.path_steps_stepped += m * ln.steps
             pending = st["pending"]

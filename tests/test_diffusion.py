@@ -58,6 +58,11 @@ def test_bessel_dimension_domain():
                 call()
             messages.add(str(info.value))
         assert len(messages) == 1 and "recurrent" in messages.pop()
+    # text or an array is not a dimension at all, whatever its value
+    for bad in ("3", [3.0], [1.5]):
+        with pytest.raises(g.DomainError) as info:
+            g.make_bessel_model(bad)
+        assert "recurrent" not in str(info.value)
 
 
 def test_scale_inverse_roundtrip():
