@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionModel, _check_dim, _check_in_domain, _check_real, _expm1_over, _integrate
+from .diffusion import DiffusionModel, _check_dim, _check_in_domain, _check_real, _check_scalar, _expm1_over, _integrate
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -156,8 +156,8 @@ def bessel_value(d: float, lam: float, i: float, x: float) -> float:
     or cancellation.
     """
     d = _check_dim(d)
-    _check_real("lam", lam, 1.0)
-    _check_real("x", x, _check_real("i", i, 0.0), strict=False)
+    _check_scalar("lam", lam, 1.0)
+    _check_scalar("x", x, _check_scalar("i", i, 0.0), strict=False)
     if x >= lam * i:
         return 0.0
     q = lam * i / x
@@ -195,8 +195,8 @@ class StoppedDistribution:
 
 def make_stopped_distribution(d: float, lam: float, x0: float) -> StoppedDistribution:
     d = _check_dim(d)
-    _check_real("lam", lam, 1.0)
-    _check_real("x0", x0, 0.0)
+    _check_scalar("lam", lam, 1.0)
+    _check_scalar("x0", x0, 0.0)
     p = (d - 2.0) / (1.0 - lam ** (-(d - 2.0)))
     return StoppedDistribution(d=d, lam=lam, x0=x0, p=p)
 

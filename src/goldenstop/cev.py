@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bessel import bessel_lambda
-from .diffusion import _check_count, _check_dim, _check_real, make_bessel_model
+from .diffusion import _check_count, _check_dim, _check_real, _check_scalar, make_bessel_model
 from .errors import DomainError, _caller_stacklevel
 from .simulate import (
     StoppingRule,
@@ -76,7 +76,7 @@ class CevModel:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _check_dim(self.d))
-        _check_real("c_sigma", self.c_sigma, 0.0)
+        _check_scalar("c_sigma", self.c_sigma, 0.0)
         nu = self.d - 2.0
         root = self.c_sigma ** (1.0 / nu)
         object.__setattr__(self, "sigma", nu / root)
@@ -167,13 +167,13 @@ def direct_stopped_samples(
 
     Returns (sorted stopped-Z sample, truncated count).
     """
-    _check_real("z0", z0, 0.0)
-    _check_real("kappa", kappa, 1.0)
+    z0 = _check_scalar("z0", z0, 0.0)
+    kappa = _check_scalar("kappa", kappa, 1.0)
     n_paths = _check_count("n_paths", n_paths, 1)
     seed = _check_count("seed", seed, 0, below=2**63)
     n_max = _horizon_steps(horizon, step)
     sqdt = math.sqrt(step)
-    z0, sigma, p = float(z0), cev.sigma, 1.0 + cev.beta
+    sigma, p = cev.sigma, 1.0 + cev.beta
 
     @np.errstate(over="ignore", invalid="ignore")
     def run(lo, hi):

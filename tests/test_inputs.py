@@ -83,11 +83,16 @@ def test_integer_arguments_are_never_truncated(entry):
     lambda: g.StoppingRule.ratio_rule([2.5, 3.0]),
     lambda: g.martingale_defect_table(g.CevModel(3.0), 1.0, 0.5, n_paths=4, step=1e-2),
     lambda: g.martingale_defect_table(g.CevModel(3.0), 1.0, [[0.5, 1.0]], n_paths=4, step=1e-2),
+    lambda: g.CevModel(3.0, c_sigma=[1.0, 2.0]),
+    lambda: g.direct_stopped_samples(g.CevModel(3.0), [1.0, 2.0], 2.0, n_paths=4, step=1e-2),
+    lambda: g.bessel_value(3.0, [2.5, 3.0], 1.0, 1.0),
+    lambda: g.make_stopped_distribution(3.0, [2.5, 3.0], 1.0),
 ], ids=["residuals-inf", "value-nan", "coefficients-x_max-inf", "ray-i_max-inf",
         "value-lam-string", "ratio-rule-no-lam", "model-d-string", "lambda-d-string",
         "cev-d-string", "ratio-rule-string", "drawdown-rule-string", "fixed-time-rule-string",
         "future-min-level-string", "defect-table-horizon-string", "model-d-array",
-        "ratio-rule-array", "defect-table-horizon-scalar", "defect-table-horizons-2d"])
+        "ratio-rule-array", "defect-table-horizon-scalar", "defect-table-horizons-2d",
+        "cev-c_sigma-array", "direct-cev-z0-array", "value-lam-array", "stopped-law-lam-array"])
 def test_bounded_reals_must_be_finite(call):
     with pytest.raises(g.DomainError):
         call()

@@ -47,6 +47,11 @@ def replay_ratio_path(d, x0, lam, seed, index, step, horizon, scheme, bridge):
     nu = d - 2.0
     drift_num = (d - 1.0) / 2.0
     gshape = (d - 1.0) / 2.0
+
+    def gamma_inverse(gu):
+        # gamma(1) is the exponential, so at d = 3 its inverse is -log1p(-u)
+        return -np.log1p(-gu) if gshape == 1.0 else gammaincinv(np.float64(gshape), gu)
+
     x_guard = max(4.0 * math.sqrt((d - 1.0) * step), 8.5 * math.sqrt(step))
     X = float(x0)
     I = float(x0)
@@ -69,14 +74,14 @@ def replay_ratio_path(d, x0, lam, seed, index, step, horizon, scheme, bridge):
         a = X
         if scheme == "exact":
             gu = np.maximum(np.float64(gen_g.random()), _U_FLOOR)
-            gam = 2.0 * float(gammaincinv(np.float64(gshape), gu))
+            gam = 2.0 * float(gamma_inverse(gu))
             n_gamma += 1
             t = a + sqdt * z
             xn = float(np.sqrt(np.float64(t * t + step * gam)))
         else:
             if a < x_guard:
                 gu = np.maximum(np.float64(gen_g.random()), _U_FLOOR)
-                gam = 2.0 * float(gammaincinv(np.float64(gshape), gu))
+                gam = 2.0 * float(gamma_inverse(gu))
                 n_gamma += 1
                 t = a + sqdt * z
                 xn = float(np.sqrt(np.float64(t * t + step * gam)))
@@ -149,16 +154,44 @@ def test_replay_oracle_exact_scheme():
                            scheme="exact", bridge=True)
 
 
+def test_exponential_gamma_substep_at_d3(monkeypatch):
+    """At d = 3 the gamma substep has shape 1 and is drawn as -log1p(-u),
+    never through gammaincinv; any other dimension still uses gammaincinv."""
+    u = np.concatenate([[_U_FLOOR, 0.5, 1.0 - _U_FLOOR],
+                        np.maximum(np.random.default_rng(3).random(100_000), _U_FLOOR)])
+    ref = gammaincinv(1.0, u)
+    assert np.all(np.abs(-np.log1p(-u) - ref) <= 1e-14 * ref)
+
+    class Called(Exception):
+        pass
+
+    def refuse(a, x):
+        raise Called
+
+    monkeypatch.setattr(simulate, "gammaincinv", refuse)
+    rule = g.StoppingRule.ratio_rule(LAM3)
+    m3 = g.make_bessel_model(3.0)
+    simulate_rules(m3, 0.4, [rule], 8, seed=13, step=1e-2, horizon=50.0, scheme="exact")
+    # x0 = 0.4 lies below the origin guard (0.85 at step 1e-2): every lane's
+    # first Euler step is the exact substep
+    simulate_rules(m3, 0.4, [rule], 8, seed=7, step=1e-2, horizon=50.0, scheme="euler")
+    with pytest.raises(Called):
+        simulate_rules(g.make_bessel_model(4.0), 0.4, [g.StoppingRule.ratio_rule(g.bessel_lambda(4.0))],
+                       8, seed=13, step=1e-2, horizon=50.0, scheme="exact")
+
+
 def test_replay_oracle_production_step():
     _assert_replay_matches(3.0, 1.0, LAM3, seed=42, step=1e-3,
                            scheme="euler", bridge=True, n=3)
 
 
-def test_replay_oracle_noninteger_dimension():
+@pytest.mark.parametrize("scheme", ["euler", "exact"])
+def test_replay_oracle_noninteger_dimension(scheme):
     # nu != 1 routes the running cost through pow(); the accumulated
-    # objective may then sit an ulp off the vectorised sum
+    # objective may then sit an ulp off the vectorised sum.  Off d = 3 the
+    # gamma substep still goes through gammaincinv.
     _assert_replay_matches(3.5, 0.4, g.bessel_lambda(3.5), seed=5, step=1e-2,
-                           scheme="euler", bridge=True, obj_tol=1e-15)
+                           scheme=scheme, bridge=True, obj_tol=1e-15)
 
 
 def test_replay_oracle_truncated_paths():
