@@ -28,10 +28,11 @@ The expected remaining cost of an arbitrary increasing boundary f is
 
     V_f(i, x) = - int_x^{f(i)} c(i, y) (L(y) - L(x)) m'(y) dy,   i <= x <= f(i),
 
-zero at and beyond the boundary.  It solves the interior ODE in x and fits
-smoothly at f(i) for every f, so of the three free-boundary conditions
-that free_boundary_residuals differences only the vanishing i-derivative
-on the diagonal tests f itself.
+zero at and beyond the boundary, or -[dM_1 - L(x) dM_0 - (2/L(i)) (dM_2 - L(x)
+dM_1)] over [x, f(i)] from the moments, which the residuals use when the model
+supplies them.  It solves the interior ODE in x and fits smoothly at f(i) for
+every f, so of the three free-boundary conditions that free_boundary_residuals
+differences only the vanishing i-derivative on the diagonal tests f itself.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -214,7 +215,7 @@ def _rhs_terms(model: DiffusionModel, i: float, f: float):
     lpi = float(Lp(i))
     s = float(sig(f)) ** 2 * float(Lp(f))
     if model.scale_moments is not None:
-        dm1, dm2 = model.scale_moments(i, f)
+        _, dm1, dm2 = model.scale_moments(i, f)
         J = lpi / li**2 * (dm2 - li * dm1)
     else:
         def g(y):
@@ -423,6 +424,12 @@ def _value_formula(
     return -_integrate(g, x, f_i, **tolerances)
 
 
+def _moment_value(model: DiffusionModel, li: float, f_i: float, x: float) -> float:
+    """The value formula from the scale moments over [x, f(i)], given L(i) and f(i)."""
+    lx, (dm0, dm1, dm2) = float(model.scale(x)), model.scale_moments(x, f_i)
+    return 2.0 / li * (dm2 - lx * dm1) - dm1 + lx * dm0
+
+
 def value_function_numeric(
     model: DiffusionModel,
     boundary: Boundary,
@@ -432,13 +439,11 @@ def value_function_numeric(
     """Expected remaining cost V_f(i, x) of stopping at the given boundary.
 
     Negative in the continuation region i <= x < f(i), exactly 0 for
-    x >= f(i).  For the minimal boundary of a Bessel model this matches
-    the closed form `bessel_value`.
+    x >= f(i).  A quadrature for every model; for the minimal boundary of a
+    Bessel model it matches the closed form `bessel_value`.
     """
     _check_real("x", x, _check_real("i", i, 0.0), strict=False)
-    if x >= float(boundary(i)):
-        return 0.0
-    return _value_formula(model, boundary, i, x)
+    return 0.0 if x >= float(boundary(i)) else _value_formula(model, boundary, i, x)
 
 
 def free_boundary_residuals(
@@ -447,53 +452,59 @@ def free_boundary_residuals(
     i: float,
     x: float,
 ):
-    """Central-difference residuals of the three free-boundary conditions.
+    """Finite-difference residuals of the three free-boundary conditions.
 
     Returns (pde, smooth_fit, normal_reflection):
 
     * pde              mu V_x + sigma^2/2 V_xx + c  at (i, x), interior;
-    * smooth_fit       V_x across the boundary point (i, f(i));
+    * smooth_fit       V_x at (i, f(i)), one-sided second order with V(f) = 0:
+                       (V(f - 2 delta) - 4 V(f - delta)) / (2 delta);
     * normal_reflection  d/di of the value formula across the diagonal
                          at (i, i), which vanishes for any solution of the
                          boundary ODE.
 
     The value formula satisfies the first two for every boundary (V_x(i, f)
     = 0, and L_X V = -c since (sigma^2/2) L' m' = 1), so pde and smooth_fit
-    measure quadrature and stencil error only; normal_reflection alone
-    tells whether f is the optimal boundary.
+    measure rounding, quadrature and stencil error only; normal_reflection
+    alone tells whether f is the optimal boundary.
 
-    Steps are DELTA_SCALE * (1 + coordinate) with DELTA_SCALE = 1e-3, so
-    i must exceed 1e-3/(1 - 1e-3).  The quadratures run much tighter than
-    the public default because the second difference divides by delta^2.
+    Steps are DELTA_SCALE * (1 + coordinate), DELTA_SCALE = 1e-3: i must exceed
+    1e-3/(1 - 1e-3) and f(i) 2e-3/(1 - 2e-3).  Without scale moments V is a
+    quadrature, much tighter than the public default as V_xx divides by delta^2.
     """
     _check_real("x", x, _check_real("i", i, 0.0), strict=False)
-    f_i = float(boundary(i))
+
+    def value_at(ii):  # (f(ii), xx -> V_f(ii, xx)); the moments route reads L(ii) and f(ii) once
+        f_ii = float(boundary(ii))
+        if model.scale_moments is None:
+            return f_ii, partial(_value_formula, model, boundary, ii, epsabs=1.5e-13, epsrel=1e-11)
+        return f_ii, partial(_moment_value, model, float(model.scale(ii)), f_ii)
+
+    f_i, V = value_at(i)
     if x > f_i:
         raise DomainError(f"need x <= f(i) = {f_i:g}, got x={x}")
 
-    def V(ii, xx):
-        return _value_formula(model, boundary, ii, xx, epsabs=1.5e-13, epsrel=1e-11)
-
     # interior equation in x
     dx = DELTA_SCALE * (1.0 + x)
-    if x - dx <= 0.0 or i - DELTA_SCALE * (1.0 + i) <= 0.0:
+    if min(x - dx, i - DELTA_SCALE * (1.0 + i), f_i - 2.0 * DELTA_SCALE * (1.0 + f_i)) <= 0.0:
         raise DomainError(
-            f"difference steps of {DELTA_SCALE:g} * (1 + coordinate) reach the origin "
-            f"from i={i:g}, x={x:g}; the residuals need i > {DELTA_SCALE / (1 - DELTA_SCALE):.4g}"
+            f"difference steps of {DELTA_SCALE:g} * (1 + coordinate) reach the origin from i={i:g}, x={x:g}, "
+            f"f(i)={f_i:g}; the residuals need i > {DELTA_SCALE / (1 - DELTA_SCALE):.4g} and f(i) > "
+            f"{2 * DELTA_SCALE / (1 - 2 * DELTA_SCALE):.4g}"
         )
-    vm, v0, vp = V(i, x - dx), V(i, x), V(i, x + dx)
+    vm, v0, vp = V(x - dx), V(x), V(x + dx)
     v_x = (vp - vm) / (2.0 * dx)
     v_xx = (vp - 2.0 * v0 + vm) / dx**2
     c = c_value(model, i, x)
     pde = float(model.drift(x)) * v_x + 0.5 * float(model.volatility(x)) ** 2 * v_xx + c
 
-    # smooth fit at the boundary: true value vanishes beyond f(i)
+    # smooth fit at the boundary, where the value vanishes
     db = DELTA_SCALE * (1.0 + f_i)
-    smooth_fit = (0.0 - V(i, f_i - db)) / (2.0 * db)
+    smooth_fit = (V(f_i - 2.0 * db) - 4.0 * V(f_i - db)) / (2.0 * db)
 
     # reflection along the diagonal: i-derivative at x = i
     di = DELTA_SCALE * (1.0 + i)
-    normal_reflection = (V(i + di, i) - V(i - di, i)) / (2.0 * di)
+    normal_reflection = (value_at(i + di)[1](i) - value_at(i - di)[1](i)) / (2.0 * di)
 
     return float(pde), float(smooth_fit), float(normal_reflection)
 

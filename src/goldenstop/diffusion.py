@@ -22,8 +22,8 @@ functionals below are integrals against the Green kernel times m'.
 
 Bessel models (dimension d > 2, drift (d-1)/(2x), unit volatility) have
 closed forms throughout:  L(x) = -x^(2-d),  m'(x) = (2/(d-2)) x^(d-1),
-h(i) = 2^(1/(d-2)) i, and the scale moments M_k(y) = int^y L^k m' (k = 1, 2)
-are elementary.  A model built from its coefficients gets its scale
+h(i) = 2^(1/(d-2)) i, and the scale moments M_k(y) = int^y L^k m' (k = 0, 1,
+2) are elementary.  A model built from its coefficients gets its scale
 by two cumulative quadratures on a log-x grid (2 mu / sigma^2, then the
 tail of exp(-E)), see model_from_coefficients.
 """
@@ -140,7 +140,7 @@ class DiffusionModel:
         (x_min, x_max) on which the evaluators are trustworthy; Bessel
         models use (0, inf).
     scale_moments : callable or None
-        (a, b) -> (M_1(b) - M_1(a), M_2(b) - M_2(a)), M_k(y) = int^y L^k m'.
+        (a, b) -> (dM_0, dM_1, dM_2), dM_k = M_k(b) - M_k(a), M_k(y) = int^y L^k m'.
     """
 
     drift: Callable
@@ -268,7 +268,11 @@ def make_bessel_model(d: float) -> DiffusionModel:
 
     def scale_moments(a, b):
         t = math.log(b / a)
-        return -(b * b - a * a) / nu, 2.0 / nu * a ** (4.0 - d) * _expm1_over(4.0 - d, t)
+        try:
+            dm0 = 2.0 / (nu * d) * a**d * math.expm1(d * t)
+        except OverflowError:  # b^d past the doubles; the shots read only dM_1, dM_2
+            dm0 = math.inf
+        return dm0, -(b * b - a * a) / nu, 2.0 / nu * a ** (4.0 - d) * _expm1_over(4.0 - d, t)
 
     return DiffusionModel(
         drift=drift,

@@ -144,9 +144,9 @@ def test_criterion_05(report):
         smooth_max = max(smooth_max, abs(sm))
         refl_max = max(refl_max, abs(rf))
     dt = time.perf_counter() - t0
-    ok = pde_max <= 1e-4 and smooth_max <= 1e-3 and refl_max <= 1e-3 and dt < 10.0
+    ok = pde_max <= 1e-4 and smooth_max <= 1e-5 and refl_max <= 1e-3 and dt < 10.0
     report(5, ok, "free-boundary residuals vanish on the minimal boundary, d=3",
-           f"pde={pde_max:.2e}<=1e-4 (10 pts), smooth={smooth_max:.2e}<=1e-3, "
+           f"pde={pde_max:.2e}<=1e-4 (10 pts), smooth={smooth_max:.2e}<=1e-5, "
            f"reflection={refl_max:.2e}<=1e-3, {dt:.1f}s<10s")
     assert ok
 

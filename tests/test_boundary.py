@@ -67,6 +67,24 @@ def test_rhs_quadrature_path_matches_scale_moments():
         assert abs(g.boundary_ode_rhs(copy, i, f) - ref) <= 1e-10 * abs(ref), (i, f)
 
 
+@pytest.mark.parametrize("d", [2.5, 3.0, 4.0, 10.0])
+def test_scale_moments_keep_the_shooting_expressions(d):
+    # dM_1 and dM_2, which every shot reads, are the expressions the shooting
+    # side has always used, bit for bit; dM_0 is the power-law integral
+    m, nu, k = g.make_bessel_model(d), d - 2.0, 4.0 - d
+    rng = np.random.default_rng(7)
+    for a in rng.uniform(0.01, 5.0, 50):
+        b = a * float(rng.uniform(1.0 + 1e-9, 60.0))
+        t = math.log(b / a)
+        dm0, dm1, dm2 = m.scale_moments(a, b)
+        assert dm1 == -(b * b - a * a) / nu
+        assert dm2 == 2.0 / nu * a**k * (t if k == 0.0 else np.expm1(k * t) / k)
+        assert math.isclose(dm0, 2.0 * (b**d - a**d) / (nu * d), rel_tol=1e-12)
+    # past the doubles dM_0 is inf and the shooting moments stay finite
+    dm0, dm1, dm2 = g.make_bessel_model(3.0).scale_moments(1e103, 4e103)
+    assert dm0 == math.inf and math.isfinite(dm1) and math.isfinite(dm2)
+
+
 def test_rhs_singular_on_sign_curve():
     m = _m3()
     with pytest.raises(g.SingularPointError):
@@ -274,8 +292,8 @@ def test_residuals_small_on_minimal_boundary():
     b = g.minimal_boundary(m, 0.5, 2.0)
     for i, x in ((0.8, 1.2), (1.0, 1.5), (1.6, 2.4)):
         pde, smooth, reflect = g.free_boundary_residuals(m, b, i, x)
-        assert abs(pde) < 1e-4, (i, x, pde)
-        assert abs(smooth) < 1e-3, (i, smooth)
+        assert abs(pde) < 1e-8, (i, x, pde)
+        assert abs(smooth) < 1e-5, (i, smooth)
         assert abs(reflect) < 1e-3, (i, reflect)
 
 
@@ -290,8 +308,54 @@ def test_only_reflection_tells_a_wrong_ray(lam):
         i = float(i)
         for frac in (0.35, 0.7):
             pde, smooth, reflect = g.free_boundary_residuals(m, b, i, i + frac * (b(i) - i))
-            assert abs(pde) < 1e-4 and abs(smooth) < 1e-3, (i, frac, pde, smooth)
+            assert abs(pde) < 1e-8 and abs(smooth) < 1e-5, (i, frac, pde, smooth)
             assert abs(reflect) >= 0.5, (i, reflect)
+
+
+@pytest.fixture(scope="module", params=[(d, r) for d in (2.5, 3.0, 4.0, 5.0, 7.0, 10.0) for r in (1.0, 1.1)]
+                + [(3.0, None), (5.0, None)], ids=lambda p: f"d{p[0]:g}-" + ("minimal" if p[1] is None else f"ray{p[1]:g}"))
+def model_and_boundary(request):
+    """A Bessel model with its ray at ratio * lam(d), or its minimal boundary (ratio None)."""
+    d, ratio = request.param
+    m = g.make_bessel_model(d)
+    if ratio is None:
+        return m, g.minimal_boundary(m, 0.5, 2.0)
+    return m, g.line_boundary(m, ratio * g.bessel_lambda(d), 0.5, 2.0)
+
+
+def test_moment_value_matches_quadrature(model_and_boundary):
+    # V_f(i, x) from the scale moments, the route of the residuals, against
+    # quad of the value formula's integrand written out from L(y) = -y^-nu
+    # and m'(y) = (2/nu) y^(d-1); d = 4 takes expm1_over's k = 0 branch
+    m, b = model_and_boundary
+    d, nu = m.dim, m.dim - 2.0
+    for i in np.geomspace(0.55, 1.9, 5):
+        i, f_i = float(i), float(b(i))
+        for frac in (0.0, 0.35, 0.7, 0.999):
+            x = i + frac * (f_i - i)
+
+            def integrand(y):
+                return (1.0 - 2.0 * (y / i) ** -nu) * (x**-nu - y**-nu) * 2.0 / nu * y ** (d - 1.0)
+
+            ref = -quad(integrand, x, f_i, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            got = gb._moment_value(m, float(m.scale(i)), f_i, x)
+            assert abs(got - ref) <= 1e-12, (i, frac, got, ref)
+
+
+def test_residual_routes_agree(model_and_boundary):
+    # the same Bessel scale without scale moments takes the quadrature route
+    # of the value formula; pde is stencil error away from d = 3 (up to 5e-5
+    # at d = 10 here) on both routes
+    m, b = model_and_boundary
+    copy = g.model_from_scale(m.drift, m.volatility, m.scale, m.scale_deriv, m.scale_inverse)
+    assert copy.scale_moments is None
+    for i in (0.6, 1.8):
+        x = i + 0.5 * (float(b(i)) - i)
+        pde, smooth, reflect = g.free_boundary_residuals(m, b, i, x)
+        q_pde, q_smooth, q_reflect = g.free_boundary_residuals(copy, b, i, x)
+        assert abs(pde - q_pde) <= 1e-8, (i, pde, q_pde)
+        assert abs(smooth - q_smooth) <= 1e-9, (i, smooth, q_smooth)
+        assert abs(reflect - q_reflect) <= 1e-9, (i, reflect, q_reflect)
 
 
 def test_residuals_guard_near_origin():
@@ -299,6 +363,13 @@ def test_residuals_guard_near_origin():
     b = g.line_boundary(m, g.bessel_lambda(3.0), 1e-5, 1.0)
     with pytest.raises(g.DomainError):
         g.free_boundary_residuals(m, b, 1e-4, 2e-4)
+    # the smooth-fit stencil reaches f(i) - 2 delta: near the origin a flat
+    # ray (lam(10) = 1.16) runs out of room there before i does
+    m10 = g.make_bessel_model(10.0)
+    b10 = g.line_boundary(m10, g.bessel_lambda(10.0), 1e-3, 1.0)
+    with pytest.raises(g.DomainError, match=r"f\(i\) > 0\.002004"):
+        g.free_boundary_residuals(m10, b10, 0.0015, 0.0015)
+    assert all(map(math.isfinite, g.free_boundary_residuals(m, b, 0.0015, 0.0015)))
 
 
 def test_boundary_validation():
