@@ -34,14 +34,12 @@ from .errors import DomainError, NumericalError
 
 __all__ = [
     "bessel_characteristic",
-    "bessel_characteristic_derivative",
     "bessel_lambda",
     "bessel_lambda_bisect",
     "bessel_value",
     "StoppedDistribution",
     "make_stopped_distribution",
     "stopped_cdf",
-    "stopped_pdf",
     "stopped_mean",
     "stopped_quantile",
     "stopped_cdf_general",
@@ -59,6 +57,8 @@ def _F(d: float, lam):
 
 
 def _dF(d: float, lam):
+    # the docstring's product form: zero only at (2/d)^(1/(d-2)) and 2^(1/(d-2)),
+    # positive beyond the latter, which keeps bessel_lambda's bracketed Newton safe
     lam = np.asarray(lam, dtype=float)
     out = d * lam ** (3.0 - d) * (lam ** (d - 2.0) - 2.0 / d) * (lam ** (d - 2.0) - 2.0)
     return float(out) if out.ndim == 0 else out
@@ -72,16 +72,6 @@ def bessel_characteristic(d: float, lam) -> float:
     """
     d = _check_dim(d)
     return _F(d, _check_real("lam", lam, 0.0))
-
-
-def bessel_characteristic_derivative(d: float, lam) -> float:
-    """dF/dlam in product form d lam^(3-d) (lam^(d-2) - 2/d) (lam^(d-2) - 2).
-
-    Vanishes only at (2/d)^(1/(d-2)) and 2^(1/(d-2)); positive beyond the
-    latter, which is what makes the bracketed Newton iteration safe.
-    """
-    d = _check_dim(d)
-    return _dF(d, _check_real("lam", lam, 0.0))
 
 
 def bessel_lambda(d: float) -> float:
@@ -209,17 +199,6 @@ def stopped_cdf(dist: StoppedDistribution, y):
     top = dist.lam * dist.x0
     out = np.where(y <= 0.0, 0.0, np.minimum(np.maximum(y, 0.0) / top, 1.0) ** dist.p)
     out = np.where(y >= top, 1.0, out)
-    return float(out) if out.ndim == 0 else out
-
-
-def stopped_pdf(dist: StoppedDistribution, y):
-    """Density p y^(p-1) / (lam x0)^p on (0, lam x0); 0 elsewhere."""
-    y = np.asarray(y, dtype=float)
-    if np.any(~np.isfinite(y)):
-        raise DomainError("pdf argument must be finite")
-    top = dist.lam * dist.x0
-    inside = (y > 0.0) & (y < top)
-    out = np.where(inside, dist.p * np.maximum(y, 1e-300) ** (dist.p - 1.0) / top**dist.p, 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -37,7 +37,6 @@ differences only the vanishing i-derivative on the diagonal tests f itself.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -54,7 +53,6 @@ from .diffusion import (
     _check_count,
     _check_real,
     _integrate,
-    _read_columns,
     c_value,
     h_curve,
 )
@@ -77,8 +75,6 @@ __all__ = [
     "minimal_boundary",
     "value_function_numeric",
     "free_boundary_residuals",
-    "boundary_to_csv",
-    "boundary_from_csv",
 ]
 
 # f above this multiple of h(i) counts as a diverged (non-minimal) shot
@@ -111,7 +107,8 @@ class Boundary:
     "closed-form-ratio(...)" for exact rays (then ``ratio`` is set and
     evaluation is lam * i exactly, no interpolation), "shot(...)" for a
     single shot started on the sign-change curve, "minimal-limit(...)" for
-    the shot-limit construction, "imported" for CSV round-trips.  ``shots``
+    the shot-limit construction, "imported" for a CLI boundary file
+    (``simulate --rule boundary:FILE``, h from the model).  ``shots``
     holds one ShotRecord per shot a shooting construction took.
 
     Nodes must satisfy f >= h (equality only where a shot starts) and f
@@ -507,37 +504,3 @@ def free_boundary_residuals(
     normal_reflection = (value_at(i + di)[1](i) - value_at(i - di)[1](i)) / (2.0 * di)
 
     return float(pde), float(smooth_fit), float(normal_reflection)
-
-
-# ---------------------------------------------------------------------------
-# CSV round-trip
-
-
-def boundary_to_csv(boundary: Boundary, path) -> None:
-    """Write the grid as CSV with header i,f,h (17 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "f", "h"])
-        for i, f, h in zip(boundary.i_grid, boundary.f_grid, boundary.h_grid):
-            w.writerow([f"{i:.17g}", f"{f:.17g}", f"{h:.17g}"])
-
-
-def boundary_from_csv(path, model: Optional[DiffusionModel] = None) -> Boundary:
-    """Read a boundary written by boundary_to_csv.
-
-    The h column is optional when a model is supplied (h is recomputed);
-    provenance becomes "imported" since the file format does not carry it.
-    """
-    ig, fg, *h_column = _read_columns(path, "boundary file", ("i", "f"), optional="h")
-    if h_column:
-        hg = h_column[0]
-    elif model is not None:
-        hg = h_curve(model, np.asarray(ig))
-    else:
-        raise DomainError(f"{path}: no h column and no model to recompute it")
-    return Boundary(
-        i_grid=np.asarray(ig),
-        f_grid=np.asarray(fg),
-        h_grid=np.asarray(hg),
-        provenance="imported",
-    )

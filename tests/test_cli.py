@@ -1,6 +1,8 @@
 """CLI contract tests: output text, exit codes, env vars, atomic --out, README transcripts."""
 
+import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -8,8 +10,10 @@ import runpy
 import shlex
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -351,6 +355,56 @@ def test_boundary_rule_needs_a_path(monkeypatch):
     res, rules = _parsed_rules(monkeypatch, "boundary:")
     assert res.exit_code == 2 and rules == []
     assert "boundary rule needs a CSV path" in res.stderr
+
+
+def test_boundary_file_from_the_boundary_command_roundtrips(monkeypatch, tmp_path):
+    path = tmp_path / "b.csv"
+    assert CliRunner().invoke(main, ["--out", str(path), "boundary"]).exit_code == 0
+    res = CliRunner().invoke(
+        main, ["simulate", "--rule", f"boundary:{path}", "--n-paths", "10", "--step", "0.01"]
+    )
+    assert res.exit_code == 0, res.stderr
+    res, rules = _parsed_rules(monkeypatch, f"boundary:{path}")
+    assert res.exit_code == 0
+    # 17 significant digits round-trip doubles exactly, and h is the model's
+    b = g.minimal_boundary(g.make_bessel_model(3.0), 0.5, 2.0)
+    back = rules[0].boundary
+    assert back.provenance == "imported"
+    for name in ("i_grid", "f_grid", "h_grid"):
+        assert np.array_equal(getattr(back, name), getattr(b, name)), name
+
+
+def test_boundary_file_needs_only_i_and_f(monkeypatch, tmp_path):
+    b = g.line_boundary(g.make_bessel_model(3.0), LAM3, 0.5, 2.0, 9)
+    path = tmp_path / "fi.csv"
+    path.write_text("i,f\n" + "".join(f"{i:.17g},{f:.17g}\n" for i, f in zip(b.i_grid, b.f_grid)))
+    res, rules = _parsed_rules(monkeypatch, f"boundary:{path}")
+    assert res.exit_code == 0, res.stderr
+    assert np.array_equal(rules[0].boundary.f_grid, b.f_grid)
+    assert np.allclose(rules[0].boundary.h_grid, 2.0 * b.i_grid, rtol=1e-12, atol=0)
+
+
+def test_boundary_file_is_checked_against_the_running_model(tmp_path):
+    # f = 2.618 i clears d = 3's h = 2 i but not d = 2.5's h = 4 i, whatever h the file carries
+    path = tmp_path / "b.csv"
+    assert CliRunner().invoke(main, ["--out", str(path), "boundary", "--ray"]).exit_code == 0
+    res = CliRunner().invoke(main, ["simulate", "-d", "2.5", "--rule", f"boundary:{path}",
+                                    "--n-paths", "10", "--step", "0.01"])
+    assert res.exit_code == 2
+    assert "boundary dips below the sign-change curve" in res.stderr
+
+
+def test_redirected_stdout_is_not_kept_alive():
+    refs = []
+    for _ in range(50):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["lambda"], standalone_mode=False) == 0
+        assert buf.getvalue() == "d,lambda,residual\n3,2.6180339887498949,0\n"
+        refs.append(weakref.ref(buf))
+        del buf
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 @pytest.mark.parametrize("args, match", [

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import goldenstop as g
+from goldenstop.diffusion import _green
 
 
 def test_bessel_scale_closed_forms():
@@ -114,11 +115,12 @@ def test_exit_time_green_vs_martingale():
 
 def test_green_function_structure():
     m = g.make_bessel_model(3.0)
-    assert g.green_function(m, 1.0, 4.0, 2.0, 3.0) == g.green_function(m, 1.0, 4.0, 3.0, 2.0)
+    la, lb, l2, l3 = (m.scale(v) for v in (1.0, 4.0, 2.0, 3.0))
+    assert _green(la, lb, l2, l3) == _green(la, lb, l3, l2)
     # vanishes at either absorbing end
-    assert abs(g.green_function(m, 1.0, 4.0, 2.0, 1.0)) < 1e-15
-    assert abs(g.green_function(m, 1.0, 4.0, 2.0, 4.0)) < 1e-15
-    assert g.green_function(m, 1.0, 4.0, 2.0, 2.0) > 0.0
+    assert abs(_green(la, lb, l2, la)) < 1e-15
+    assert abs(_green(la, lb, l2, lb)) < 1e-15
+    assert _green(la, lb, l2, l2) > 0.0
 
 
 def test_h_curve_bessel_ratios():
